@@ -43,26 +43,6 @@ class AvgAggregation : public AggregateFunction {
     a.count -= b.count;
   }
 
-  /// Batched kernel: per-tuple Combine with a singleton is `sum += v;
-  /// count += 1` — the same left-to-right fold runs on a local state.
-  void LiftCombineBatch(std::span<const Tuple> batch,
-                        Partial& into) const override {
-    if (batch.empty()) return;
-    size_t i = 0;
-    AvgState s;
-    if (into.IsIdentity()) {
-      s = AvgState{batch[0].value, 1};
-      i = 1;
-    } else {
-      s = into.Get<AvgState>();
-    }
-    for (; i < batch.size(); ++i) {
-      s.sum += batch[i].value;
-      s.count += 1;
-    }
-    into.Set(s);
-  }
-
   /// Columnar kernel: serial sum fold over the value column plus an O(1)
   /// count bump — same fold order as the per-tuple path.
   void LiftCombineColumns(const TupleColumnsView& cols,
@@ -185,22 +165,23 @@ class StdDevAggregation : public AggregateFunction {
     a.m2 = m2_r;
   }
 
-  /// Batched kernel: the Chan combination with a singleton <1, v, 0>,
-  /// written so every operation (and its rounding) matches the generic
-  /// Combine expression with b.count == 1 and b.m2 == 0 exactly.
-  void LiftCombineBatch(std::span<const Tuple> batch,
-                        Partial& into) const override {
-    if (batch.empty()) return;
+  /// Columnar kernel: the Chan combination with a singleton <1, v, 0> over
+  /// the value column, written so every operation (and its rounding)
+  /// matches the generic Combine expression with b.count == 1 and
+  /// b.m2 == 0 exactly.
+  void LiftCombineColumns(const TupleColumnsView& cols,
+                          Partial& into) const override {
+    if (cols.empty()) return;
     size_t i = 0;
     VarState s;
     if (into.IsIdentity()) {
-      s = VarState{1, batch[0].value, 0.0};
+      s = VarState{1, cols.value[0], 0.0};
       i = 1;
     } else {
       s = into.Get<VarState>();
     }
-    for (; i < batch.size(); ++i) {
-      const double delta = batch[i].value - s.mean;
+    for (; i < cols.size; ++i) {
+      const double delta = cols.value[i] - s.mean;
       const int64_t n = s.count + 1;
       // Combine computes ((delta*delta)*a.count)*b.count / n with
       // b.count == 1.0; multiplying by 1.0 is exact, so drop it.
@@ -392,46 +373,49 @@ class M4Aggregation : public AggregateFunction {
     return inside_values && inside_time;
   }
 
-  /// Batched kernel: combine with a singleton degenerates to four compares
-  /// per tuple on a local state (no Partial or M4State copies per tuple).
-  /// All comparisons are exact, so order-of-fold is not a concern beyond
+  /// Columnar kernel: combine with a singleton degenerates to four compares
+  /// per tuple on a local state, reading the value/ts/seq columns directly
+  /// (no Tuple, Partial or M4State materialization per tuple). All
+  /// comparisons are exact, so order-of-fold is not a concern beyond
   /// matching the per-tuple tie-breaks, which this reproduces verbatim.
-  void LiftCombineBatch(std::span<const Tuple> batch,
-                        Partial& into) const override {
-    if (batch.empty()) return;
-    auto lift_state = [](const Tuple& t) {
+  void LiftCombineColumns(const TupleColumnsView& cols,
+                          Partial& into) const override {
+    if (cols.empty()) return;
+    auto lift_state = [&cols](size_t k) {
       M4State s;
-      s.min = s.max = s.first_v = s.last_v = t.value;
-      s.first_t = s.last_t = t.ts;
-      s.first_seq = s.last_seq = t.seq;
+      s.min = s.max = s.first_v = s.last_v = cols.value[k];
+      s.first_t = s.last_t = cols.ts[k];
+      s.first_seq = s.last_seq = cols.seq[k];
       s.empty = false;
       return s;
     };
     size_t i = 0;
     M4State s;
     if (into.IsIdentity()) {
-      s = lift_state(batch[0]);
+      s = lift_state(0);
       i = 1;
     } else {
       s = into.Get<M4State>();
       if (s.empty) {
-        s = lift_state(batch[0]);
+        s = lift_state(0);
         i = 1;
       }
     }
-    for (; i < batch.size(); ++i) {
-      const Tuple& t = batch[i];
-      if (t.value < s.min) s.min = t.value;
-      if (t.value > s.max) s.max = t.value;
-      if (t.ts < s.first_t || (t.ts == s.first_t && t.seq < s.first_seq)) {
-        s.first_t = t.ts;
-        s.first_seq = t.seq;
-        s.first_v = t.value;
+    for (; i < cols.size; ++i) {
+      const double v = cols.value[i];
+      const Time ts = cols.ts[i];
+      const uint64_t seq = cols.seq[i];
+      if (v < s.min) s.min = v;
+      if (v > s.max) s.max = v;
+      if (ts < s.first_t || (ts == s.first_t && seq < s.first_seq)) {
+        s.first_t = ts;
+        s.first_seq = seq;
+        s.first_v = v;
       }
-      if (t.ts > s.last_t || (t.ts == s.last_t && t.seq > s.last_seq)) {
-        s.last_t = t.ts;
-        s.last_seq = t.seq;
-        s.last_v = t.value;
+      if (ts > s.last_t || (ts == s.last_t && seq > s.last_seq)) {
+        s.last_t = ts;
+        s.last_seq = seq;
+        s.last_v = v;
       }
     }
     into.Set(s);

@@ -662,8 +662,8 @@ void DrivePipeline(TupleSource& src, WindowOperator& op, uint64_t start_index,
       }
     }
   } else {
-    std::vector<Tuple> buf;
-    buf.reserve(opts.batch_size);
+    // Row-major source tuples transpose once into SoA columns here.
+    TupleBatchSoA buf(opts.batch_size);
     bool more = true;
     uint64_t i = start_index;
     while (more && i < max_tuples) {
@@ -671,13 +671,13 @@ void DrivePipeline(TupleSource& src, WindowOperator& op, uint64_t start_index,
       if (opts.watermark_every > 0) {
         limit = std::min(limit, opts.watermark_every - i % opts.watermark_every);
       }
-      buf.clear();
+      buf.Clear();
       while (buf.size() < limit && (more = src.Next(&t))) {
-        buf.push_back(t);
+        buf.PushBack(t);
         max_ts = std::max(max_ts, t.ts);
       }
       if (buf.empty()) break;
-      op.ProcessTupleBatch(buf);
+      op.ProcessTupleColumns(buf.View());
       i += buf.size();
       out->report.tuples += buf.size();
       if (opts.watermark_every > 0 && i % opts.watermark_every == 0) {

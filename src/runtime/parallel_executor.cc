@@ -297,10 +297,6 @@ bool ParallelExecutor::TryPushFor(const Tuple& t,
   return true;
 }
 
-void ParallelExecutor::PushBatch(std::span<const Tuple> tuples) {
-  for (const Tuple& t : tuples) Push(t);
-}
-
 void ParallelExecutor::PushColumns(const TupleColumnsView& cols) {
   if (!opts_.shared_preagg) {
     if (opts_.batch_size <= 1) {

@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -196,10 +195,8 @@ class ParallelExecutor {
   /// caller decides what a false means (shed the tuple, raise an error);
   /// the executor itself never drops anything.
   bool TryPushFor(const Tuple& t, std::chrono::nanoseconds timeout);
-  /// Routes a block of tuples through the per-worker staging buffers.
-  void PushBatch(std::span<const Tuple> tuples);
-  /// Columnar ingestion: like PushBatch but reads the SoA columns directly
-  /// (no Tuple materialization on the producer side). In shared mode whole
+  /// Batch ingestion: routes a block of tuples, read straight from the SoA
+  /// columns, through the per-worker staging buffers. In shared mode whole
   /// sub-ranges forward zero-copy into the worker rings.
   void PushColumns(const TupleColumnsView& cols);
   void PushWatermark(Time wm);

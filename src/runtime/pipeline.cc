@@ -45,8 +45,8 @@ PipelineReport RunPipeline(TupleSource& src, WindowOperator& op,
     }
   } else {
     // Batched driver: same tuple/watermark sequence, delivered in blocks.
-    std::vector<Tuple> buf;
-    buf.reserve(opts.batch_size);
+    // Row-major source tuples transpose once into SoA columns here.
+    TupleBatchSoA buf(opts.batch_size);
     std::vector<WindowResult> drained;
     bool more = true;
     uint64_t i = 0;
@@ -57,13 +57,13 @@ PipelineReport RunPipeline(TupleSource& src, WindowOperator& op,
       if (opts.watermark_every > 0) {
         limit = std::min(limit, opts.watermark_every - i % opts.watermark_every);
       }
-      buf.clear();
+      buf.Clear();
       while (buf.size() < limit && (more = src.Next(&t))) {
-        buf.push_back(t);
+        buf.PushBack(t);
         max_ts = std::max(max_ts, t.ts);
       }
       if (buf.empty()) break;
-      op.ProcessTupleBatch(buf);
+      op.ProcessTupleColumns(buf.View());
       i += buf.size();
       report.tuples += buf.size();
       if (opts.watermark_every > 0 && i % opts.watermark_every == 0) {

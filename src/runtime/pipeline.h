@@ -25,7 +25,7 @@ struct PipelineOptions {
   Time watermark_delay = 2000;
   /// Drain op.TakeResults() after every watermark (keeps memory flat).
   bool drain_results = true;
-  /// Feed the operator through ProcessTupleBatch in blocks of this many
+  /// Feed the operator through ProcessTupleColumns in blocks of this many
   /// tuples (0 or 1 keeps the tuple-at-a-time loop). Blocks never straddle
   /// a watermark boundary, so the item sequence the operator observes is
   /// identical to unbatched execution.

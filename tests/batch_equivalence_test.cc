@@ -1,13 +1,12 @@
-// Batched-ingestion equivalence suite: every batch-aware layer (aggregation
-// kernels, the general slicing operator, the keyed wrapper, the SPSC queue,
-// the pipeline driver) must produce results bit-identical to the per-tuple
-// path it replaces, and the supporting plumbing (slice freelist, Name()
-// caching, queue capacity knob) must behave as documented.
+// Batched-ingestion equivalence suite: every batch-aware layer (columnar
+// aggregation kernels, the general slicing operator, the keyed wrapper, the
+// SPSC queue, the pipeline driver) must produce results bit-identical to the
+// per-tuple path it replaces, and the supporting plumbing (slice freelist,
+// Name() caching, queue capacity knob) must behave as documented.
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -34,16 +33,16 @@ namespace scotty {
 namespace {
 
 using testing::RunToFinalResults;
-using testing::RunToFinalResultsBatched;
+using testing::RunToFinalResultsColumns;
 using testing::T;
 
 // ---------------------------------------------------------------------------
-// Kernel level: LiftCombineBatch specializations vs the generic per-tuple
+// Kernel level: LiftCombineColumns specializations vs the generic per-tuple
 // Lift+Combine loop, from both an identity and a pre-seeded partial.
 
-std::vector<Tuple> KernelStream(uint64_t seed, int n) {
+TupleBatchSoA KernelStream(uint64_t seed, int n) {
   Rng rng(seed);
-  std::vector<Tuple> out;
+  TupleBatchSoA out;
   Time ts = 0;
   for (int i = 0; i < n; ++i) {
     ts += static_cast<Time>(rng.NextBounded(3));
@@ -51,7 +50,7 @@ std::vector<Tuple> KernelStream(uint64_t seed, int n) {
     // between fold orders if a kernel gets the order wrong.
     const double v =
         (static_cast<double>(rng.NextBounded(2000)) - 997.0) / 7.0;
-    out.push_back(T(ts, v, static_cast<uint64_t>(i)));
+    out.PushBack(T(ts, v, static_cast<uint64_t>(i)));
   }
   return out;
 }
@@ -61,19 +60,21 @@ class KernelEquivalenceTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(KernelEquivalenceTest, BatchKernelBitIdenticalToPerTupleFold) {
   const AggregateFunctionPtr fn = MakeAggregation(GetParam());
   ASSERT_NE(fn, nullptr);
-  const std::vector<Tuple> tuples = KernelStream(0xBADC0FFEE + 1, 257);
+  const TupleBatchSoA tuples = KernelStream(0xBADC0FFEE + 1, 257);
 
   for (const size_t prefix : {size_t{0}, size_t{1}, size_t{13}}) {
     Partial per_tuple;
     Partial batched;
     for (size_t i = 0; i < prefix; ++i) {
-      fn->Combine(per_tuple, fn->Lift(tuples[i]));
-      fn->Combine(batched, fn->Lift(tuples[i]));
+      fn->Combine(per_tuple, fn->Lift(tuples.Get(i)));
+      fn->Combine(batched, fn->Lift(tuples.Get(i)));
     }
-    const std::span<const Tuple> rest(tuples.data() + prefix,
-                                      tuples.size() - prefix);
-    for (const Tuple& t : rest) fn->Combine(per_tuple, fn->Lift(t));
-    fn->LiftCombineBatch(rest, batched);
+    const TupleColumnsView rest =
+        tuples.Subview(prefix, tuples.size() - prefix);
+    for (size_t i = 0; i < rest.size; ++i) {
+      fn->Combine(per_tuple, fn->Lift(rest.Get(i)));
+    }
+    fn->LiftCombineColumns(rest, batched);
     // Exact equality, no tolerance: the kernels must replicate the fold
     // order bit-for-bit (this is what lets the differential fuzzer compare
     // batched and per-tuple operator runs exactly).
@@ -85,12 +86,12 @@ TEST_P(KernelEquivalenceTest, BatchKernelBitIdenticalToPerTupleFold) {
 TEST_P(KernelEquivalenceTest, BatchKernelMatchesBaseClassLoop) {
   const AggregateFunctionPtr fn = MakeAggregation(GetParam());
   ASSERT_NE(fn, nullptr);
-  const std::vector<Tuple> tuples = KernelStream(77, 64);
+  const TupleBatchSoA tuples = KernelStream(77, 64);
   Partial via_base;
   Partial via_kernel;
   // Qualified call bypasses the virtual override: the documented default.
-  fn->AggregateFunction::LiftCombineBatch(tuples, via_base);
-  fn->LiftCombineBatch(tuples, via_kernel);
+  fn->AggregateFunction::LiftCombineColumns(tuples.View(), via_base);
+  fn->LiftCombineColumns(tuples.View(), via_kernel);
   EXPECT_EQ(fn->Lower(via_base), fn->Lower(via_kernel)) << GetParam();
 }
 
@@ -109,7 +110,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Operator level: ProcessTupleBatch vs ProcessTuple across store modes,
+// Operator level: ProcessTupleColumns vs ProcessTuple across store modes,
 // stream orders, batch sizes, and workloads that force the per-tuple
 // fallback (count lane, sessions).
 
@@ -165,7 +166,7 @@ TEST_P(OperatorBatchTest, BatchedRunBitIdenticalToPerTuple) {
 
   for (const size_t bs : {size_t{1}, size_t{7}, size_t{64}, stream.size()}) {
     auto op = MakeCaseOp(c);
-    const auto got = RunToFinalResultsBatched(*op, stream, final_wm,
+    const auto got = RunToFinalResultsColumns(*op, stream, final_wm,
                                               c.wm_every, wm_lag, bs);
     ASSERT_EQ(got.size(), ref.size()) << c.name << " batch=" << bs;
     for (const auto& [key, expected] : ref) {
@@ -209,7 +210,7 @@ TEST(OperatorBatchTest, DifferentialSweepWithBatchingEnabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Keyed wrapper: batch regrouping by key, Name() caching.
+// Keyed wrapper: batch shuffling by key, Name() caching.
 
 std::vector<Tuple> KeyedStream(int n, int num_keys, bool runs) {
   Rng rng(4242);
@@ -268,11 +269,13 @@ TEST(KeyedBatchTest, RegroupedBatchesBitIdenticalToPerTuple) {
     const auto ref = KeyedFinal(ref_op->TakeResults());
     ASSERT_FALSE(ref.empty());
 
+    TupleBatchSoA cols;
+    cols.AppendTuples(stream);
     for (const size_t bs : {size_t{3}, size_t{64}, stream.size()}) {
       auto op = MakeKeyed();
       for (size_t i = 0; i < stream.size(); i += bs) {
         const size_t len = std::min(bs, stream.size() - i);
-        op->ProcessTupleBatch({stream.data() + i, len});
+        op->ProcessTupleColumns(cols.Subview(i, len));
       }
       op->ProcessWatermark(last + 1);
       EXPECT_EQ(KeyedFinal(op->TakeResults()), ref)

@@ -87,7 +87,7 @@ constexpr const char* kKnownFlags[] = {
     "gap-prob",   "gap-len",    "value-range", "punct-prob", "ooo",
     "max-delay",  "burst-prob", "burst-len", "wm-every",   "batch",
     "checkpoint", "crash",      "rescale",   "shared-queries",
-    "overload",   "layout",     "kernel",    "guided",     "corpus",
+    "overload",   "kernel",     "guided",    "corpus",
     "seed-corpus", "time-budget-s", "stats-json", "stats-series",
     "no-minimize", "track-coverage"};
 
@@ -199,11 +199,6 @@ void ApplyOverrides(const Flags& flags, DifferentialConfig* cfg) {
     // the seed (the nightly fault-matrix lane runs 500 seeds this way).
     // 0: off.
     cfg->overload = static_cast<int>(flags.Int("overload", cfg->overload));
-  }
-  if (flags.Has("layout")) {
-    // "soa" adds columnar-ingestion runs with the kernel dispatch pinned to
-    // --kernel and (for vector modes) the scalar fallback cross-check.
-    cfg->layout = flags.Str("layout", cfg->layout);
   }
   if (flags.Has("kernel")) cfg->kernel = flags.Str("kernel", cfg->kernel);
 }

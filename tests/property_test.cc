@@ -123,7 +123,7 @@ TEST_P(SlicingPropertyTest, BatchedIngestionBitIdenticalToPerTuple) {
   ASSERT_FALSE(ref.empty());
   for (const size_t bs : {size_t{1}, size_t{7}, size_t{64}, stream.size()}) {
     auto op = make();
-    const auto got = testing::RunToFinalResultsBatched(*op, stream, last + 1,
+    const auto got = testing::RunToFinalResultsColumns(*op, stream, last + 1,
                                                        64, wm_lag, bs);
     EXPECT_EQ(got, ref) << agg_name << " batch=" << bs;
   }

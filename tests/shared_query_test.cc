@@ -356,7 +356,7 @@ TEST(SharedEquivalence, InOrderFastPath) {
                                 /*in_order=*/true);
 }
 
-// Batched and columnar in-order ingestion take a no-late-mirroring fast
+// Batched (columnar) in-order ingestion takes a no-late-mirroring fast
 // path when the batch is sorted (the bench-critical route for derived
 // plans); duplicate timestamps tying the per-tuple watermark at window
 // edges must still produce results bit-identical to per-tuple ingestion.
@@ -393,72 +393,53 @@ TEST(SharedEquivalence, BatchedAndColumnarInOrderMatchPerTuple) {
   const auto want =
       RunRegistryToFinal(per_tuple, pt_ids, tuples, final_wm, wm_every, wm_lag);
 
-  // Same watermark cadence, but tuples arrive as the blocks between
-  // watermarks — via ProcessTupleBatch and via ProcessTupleColumns.
-  for (const bool columnar : {false, true}) {
-    QueryRegistry reg(RegistryOptions(/*in_order=*/true));
-    std::vector<QueryRegistry::QueryId> ids;
-    register_all(reg, &ids);
-    std::map<QueryRegistry::QueryId, FinalMap> got;
-    auto drain = [&] {
-      for (QueryRegistry::QueryId id : ids) {
-        for (const WindowResult& r : reg.TakeQueryResults(id)) {
-          got[id][{r.window_id, r.agg_id, r.start, r.end}] = r.value;
-        }
-      }
-    };
-    std::vector<Tuple> block;
-    std::vector<Time> ts_col;
-    std::vector<double> val_col;
-    std::vector<int64_t> key_col;
-    std::vector<uint64_t> seq_col;
-    auto flush = [&] {
-      if (block.empty()) return;
-      if (columnar) {
-        ts_col.clear(), val_col.clear(), key_col.clear(), seq_col.clear();
-        for (const Tuple& t : block) {
-          ts_col.push_back(t.ts);
-          val_col.push_back(t.value);
-          key_col.push_back(t.key);
-          seq_col.push_back(t.seq);
-        }
-        reg.ProcessTupleColumns({ts_col.data(), val_col.data(), key_col.data(),
-                                 seq_col.data(), nullptr, block.size()});
-      } else {
-        reg.ProcessTupleBatch(block);
-      }
-      block.clear();
-    };
-    uint64_t seq = 0;
-    Time max_ts = kNoTime;
-    Time last_wm = kNoTime;
-    for (Tuple t : tuples) {
-      t.seq = seq++;
-      block.push_back(t);
-      max_ts = std::max(max_ts, t.ts);
-      if (seq % wm_every == 0) {
-        const Time wm = max_ts - wm_lag;
-        if (wm > last_wm || last_wm == kNoTime) {
-          flush();
-          reg.ProcessWatermark(wm);
-          last_wm = wm;
-          drain();
-        }
+  // Same watermark cadence, but tuples arrive as the column blocks between
+  // watermarks via ProcessTupleColumns.
+  QueryRegistry reg(RegistryOptions(/*in_order=*/true));
+  std::vector<QueryRegistry::QueryId> ids;
+  register_all(reg, &ids);
+  std::map<QueryRegistry::QueryId, FinalMap> got;
+  auto drain = [&] {
+    for (QueryRegistry::QueryId id : ids) {
+      for (const WindowResult& r : reg.TakeQueryResults(id)) {
+        got[id][{r.window_id, r.agg_id, r.start, r.end}] = r.value;
       }
     }
-    flush();
-    reg.ProcessWatermark(final_wm);
-    drain();
+  };
+  TupleBatchSoA block;
+  auto flush = [&] {
+    if (block.empty()) return;
+    reg.ProcessTupleColumns(block.View());
+    block.Clear();
+  };
+  uint64_t seq = 0;
+  Time max_ts = kNoTime;
+  Time last_wm = kNoTime;
+  for (Tuple t : tuples) {
+    t.seq = seq++;
+    block.PushBack(t);
+    max_ts = std::max(max_ts, t.ts);
+    if (seq % wm_every == 0) {
+      const Time wm = max_ts - wm_lag;
+      if (wm > last_wm || last_wm == kNoTime) {
+        flush();
+        reg.ProcessWatermark(wm);
+        last_wm = wm;
+        drain();
+      }
+    }
+  }
+  flush();
+  reg.ProcessWatermark(final_wm);
+  drain();
 
-    for (size_t qi = 0; qi < defs.size(); ++qi) {
-      const auto want_it = want.find(pt_ids[qi]);
-      const auto got_it = got.find(ids[qi]);
-      ExpectQueryMatches(
-          got_it != got.end() ? got_it->second : FinalMap{},
-          want_it != want.end() ? want_it->second : FinalMap{}, defs[qi].aggs,
-          (columnar ? "columnar" : "batched") + std::string(" query ") +
-              std::to_string(qi));
-    }
+  for (size_t qi = 0; qi < defs.size(); ++qi) {
+    const auto want_it = want.find(pt_ids[qi]);
+    const auto got_it = got.find(ids[qi]);
+    ExpectQueryMatches(
+        got_it != got.end() ? got_it->second : FinalMap{},
+        want_it != want.end() ? want_it->second : FinalMap{}, defs[qi].aggs,
+        "columnar query " + std::to_string(qi));
   }
 }
 
