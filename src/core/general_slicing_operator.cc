@@ -37,7 +37,7 @@ int GeneralSlicingOperator::AddWindow(WindowPtr w) {
            "only context-free windows are supported on the count measure");
   }
   queries_.windows.push_back(std::move(w));
-  queries_.Recharacterize();
+  queries_.CharacterizeAddedWindow(*queries_.windows.back());
   if (initialized_) RefreshLanes();
   return static_cast<int>(queries_.windows.size()) - 1;
 }
@@ -92,21 +92,37 @@ void GeneralSlicingOperator::RefreshLanes(bool recache_edges) {
   }
   // Rebind context-aware windows and refresh caches after query changes.
   ca_windows_.clear();
-  cf_trigger_heap_ = {};
+  cf_trigger_heap_.Clear();
   win_prev_wm_.assign(queries_.windows.size(), kNoTime);
+  time_lookback_ = 0;
+  count_lookback_ = 0;
+  time_evict_windows_.clear();
+  count_evict_windows_.clear();
   for (size_t i = 0; i < queries_.windows.size(); ++i) {
     const WindowPtr& w = queries_.windows[i];
-    if (!QuerySet::OnTimeLane(w)) continue;
+    if (!w) continue;
+    const bool time_lane = QuerySet::OnTimeLane(w);
+    const Time lookback = w->EvictionLookback();
+    if (lookback == kNoTime) {
+      (time_lane ? time_evict_windows_ : count_evict_windows_)
+          .push_back(w.get());
+    } else {
+      Time& lane_lookback = time_lane ? time_lookback_ : count_lookback_;
+      lane_lookback = std::max(lane_lookback, lookback);
+    }
+    if (!time_lane) continue;
     if (auto* caw = dynamic_cast<ContextAwareWindow*>(w.get())) {
       caw->Bind(time_store_.get());
       ca_windows_.push_back({static_cast<int>(i), caw});
     } else {
       // kNoTime sorts first: the window is visited on the next trigger,
       // which computes its real next edge.
-      cf_trigger_heap_.push({kNoTime, static_cast<int>(i)});
+      cf_trigger_heap_.Append(kNoTime, static_cast<int>(i));
     }
   }
+  cf_trigger_heap_.Heapify();
   has_ca_windows_ = !ca_windows_.empty();
+  if (slicer_) slicer_->Refresh(max_ts_);
   if (recache_edges && slicer_ && max_ts_ != kNoTime) slicer_->Recache(max_ts_);
   if (count_lane_) count_lane_->InvalidateTriggerCache();
   next_trigger_edge_ = kNoTime;  // recompute on next trigger check
@@ -304,7 +320,7 @@ Time GeneralSlicingOperator::NextTriggerEdge() const {
   // next edge of any time-lane window. Context-free edges come from the
   // trigger heap in O(1); context-aware edges move with the stream and are
   // recomputed.
-  Time edge = cf_trigger_heap_.empty() ? kMaxTime : cf_trigger_heap_.top().first;
+  Time edge = cf_trigger_heap_.TopEdge();
   for (const auto& [wid, caw] : ca_windows_) {
     edge = std::min(edge, caw->GetNextEdge(last_wm_));
   }
@@ -329,16 +345,14 @@ void GeneralSlicingOperator::TriggerAll(Time wm) {
     // Context-free windows: only those whose cached next edge the watermark
     // passed are visited (heap pop), keeping trigger cost independent of
     // the number of idle concurrent queries.
-    while (!cf_trigger_heap_.empty() && cf_trigger_heap_.top().first <= wm) {
-      const auto [edge, wid] = cf_trigger_heap_.top();
-      cf_trigger_heap_.pop();
+    while (!cf_trigger_heap_.Empty() && cf_trigger_heap_.TopEdge() <= wm) {
+      const int wid = cf_trigger_heap_.TopId();
       const WindowPtr& win = queries_.windows[static_cast<size_t>(wid)];
-      if (!QuerySet::OnTimeLane(win)) continue;  // removed query
       Time prev = win_prev_wm_[static_cast<size_t>(wid)];
       if (prev == kNoTime) prev = prev_global;
       window_mgr_->TriggerWindow(wid, prev, wm, &results_);
       win_prev_wm_[static_cast<size_t>(wid)] = wm;
-      cf_trigger_heap_.push({win->GetNextEdge(wm), wid});
+      cf_trigger_heap_.ReplaceTopEdge(win->GetNextEdge(wm));
     }
     // Context-aware windows: edges move with the stream; visit every time.
     for (const auto& [wid, caw] : ca_windows_) {
@@ -360,11 +374,12 @@ void GeneralSlicingOperator::TriggerAll(Time wm) {
 }
 
 void GeneralSlicingOperator::Evict(Time wm) {
+  // Windows with a constant lookback contribute one folded bound and have
+  // no state to evict; only the others are asked (RefreshLanes).
   if (time_store_) {
-    Time safe = wm;
+    Time safe = wm - time_lookback_;
     bool keep_all = false;
-    for (const WindowPtr& w : queries_.windows) {
-      if (!QuerySet::OnTimeLane(w)) continue;
+    for (const Window* w : time_evict_windows_) {
       const Time p = w->EvictionSafePoint(wm);
       if (p == kNoTime) {
         keep_all = true;
@@ -375,15 +390,12 @@ void GeneralSlicingOperator::Evict(Time wm) {
     if (!keep_all) {
       const Time bound = safe - opts_.allowed_lateness;
       time_store_->EvictBefore(bound);
-      for (const WindowPtr& w : queries_.windows) {
-        if (QuerySet::OnTimeLane(w)) w->EvictState(bound);
-      }
+      for (Window* w : time_evict_windows_) w->EvictState(bound);
     }
   }
   if (count_lane_) {
-    Time safe_rank = last_cwm_;
-    for (const WindowPtr& w : queries_.windows) {
-      if (!QuerySet::OnCountLane(w)) continue;
+    Time safe_rank = last_cwm_ - count_lookback_;
+    for (const Window* w : count_evict_windows_) {
       safe_rank = std::min(safe_rank, w->EvictionSafePoint(last_cwm_));
     }
     count_lane_->Evict(safe_rank, wm - opts_.allowed_lateness);
@@ -585,16 +597,15 @@ void GeneralSlicingOperator::DeserializeImpl(state::Reader& r, bool delta) {
   // bit-identical restore contract. The heap is a pure function of
   // win_prev_wm_: a window triggered at wm was re-pushed with edge
   // GetNextEdge(wm).
-  cf_trigger_heap_ = {};
+  cf_trigger_heap_.Clear();
   for (size_t i = 0; i < queries_.windows.size(); ++i) {
     const WindowPtr& win = queries_.windows[i];
-    if (!win || !QuerySet::OnTimeLane(win)) continue;
-    if (dynamic_cast<ContextAwareWindow*>(win.get()) != nullptr) continue;
+    if (!QuerySet::OnTimeLane(win) || QuerySet::IsContextAware(win)) continue;
     const Time prev = win_prev_wm_[i];
-    cf_trigger_heap_.push(
-        {prev == kNoTime ? kNoTime : win->GetNextEdge(prev),
-         static_cast<int>(i)});
+    cf_trigger_heap_.Append(prev == kNoTime ? kNoTime : win->GetNextEdge(prev),
+                            static_cast<int>(i));
   }
+  cf_trigger_heap_.Heapify();
 
   const bool had_time_store = r.Bool();
   if (had_time_store != (time_store_ != nullptr)) {

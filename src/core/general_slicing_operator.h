@@ -2,13 +2,13 @@
 #define SCOTTY_CORE_GENERAL_SLICING_OPERATOR_H_
 
 #include <memory>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/aggregate_store.h"
 #include "core/count_lane.h"
+#include "core/edge_heap.h"
 #include "core/query_set.h"
 #include "core/slice_manager.h"
 #include "core/stream_slicer.h"
@@ -138,6 +138,7 @@ class GeneralSlicingOperator : public WindowOperator {
   const QuerySet& queries() const { return queries_; }
   const OperatorStats& stats() const { return stats_; }
   const AggregateStore* time_store() const { return time_store_.get(); }
+  const StreamSlicer* slicer() const { return slicer_.get(); }
   const CountLane* count_lane() const { return count_lane_.get(); }
   Time last_watermark() const { return last_wm_; }
   /// Largest event time observed so far (kNoTime before the first tuple).
@@ -174,14 +175,19 @@ class GeneralSlicingOperator : public WindowOperator {
   int64_t last_cwm_ = 0;
   Time next_trigger_edge_ = kNoTime;  // early-out cache for per-tuple triggers
 
-  /// Min-heap of (next window edge, window id) over context-free time-lane
-  /// windows: a watermark only visits windows whose edge it passed, keeping
-  /// trigger cost independent of the number of idle concurrent queries.
-  using HeapEntry = std::pair<Time, int>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      cf_trigger_heap_;
+  /// (next window edge, window id) over context-free time-lane windows: a
+  /// watermark only visits windows whose edge it passed, keeping trigger
+  /// cost independent of the number of idle concurrent queries.
+  EdgeHeap cf_trigger_heap_;
   std::vector<Time> win_prev_wm_;  // per-window last triggered watermark
+
+  /// Eviction bound per lane: the largest constant lookback
+  /// (Window::EvictionLookback) folded into one number, plus the windows
+  /// without one, which Evict still asks on every trigger.
+  Time time_lookback_ = 0;
+  Time count_lookback_ = 0;
+  std::vector<Window*> time_evict_windows_;
+  std::vector<Window*> count_evict_windows_;
 
   std::unique_ptr<AggregateStore> time_store_;
   std::unique_ptr<StreamSlicer> slicer_;

@@ -49,6 +49,18 @@ struct QuerySet {
 
   void Recharacterize() {
     chars = Characterize(windows, aggs, stream_in_order);
+    DeriveDecisions();
+  }
+
+  /// Folds one newly added window into `chars` without re-scanning the
+  /// others (equal to Recharacterize, since window flags only turn on).
+  void CharacterizeAddedWindow(const Window& w) {
+    chars.stream_in_order = stream_in_order;
+    CharacterizeWindow(w, &chars);
+    DeriveDecisions();
+  }
+
+  void DeriveDecisions() {
     storage = DecideStorage(chars);
     removal = DecideRemoval(chars);
     splits_possible = SplitsPossible(chars);
@@ -65,6 +77,12 @@ struct QuerySet {
   /// advancing measures are processed identically, paper Section 4.3).
   static bool OnTimeLane(const WindowPtr& w) {
     return w && w->measure() != Measure::kCount;
+  }
+
+  /// Context-aware windows' edges move with the stream; every other window's
+  /// edges are pure functions of its definition.
+  static bool IsContextAware(const WindowPtr& w) {
+    return dynamic_cast<const ContextAwareWindow*>(w.get()) != nullptr;
   }
 
   static bool OnCountLane(const WindowPtr& w) {

@@ -1,8 +1,12 @@
 #ifndef SCOTTY_CORE_STREAM_SLICER_H_
 #define SCOTTY_CORE_STREAM_SLICER_H_
 
+#include <algorithm>
+#include <vector>
+
 #include "common/time.h"
 #include "core/aggregate_store.h"
+#include "core/edge_heap.h"
 #include "core/query_set.h"
 
 namespace scotty {
@@ -22,7 +26,25 @@ namespace scotty {
 class StreamSlicer {
  public:
   StreamSlicer(AggregateStore* store, const QuerySet* queries)
-      : store_(store), queries_(queries) {}
+      : store_(store), queries_(queries) {
+    Refresh(kNoTime);
+  }
+
+  /// Re-reads the window set after a query change and rebuilds the edge
+  /// heap at `max_ts`, the largest in-order timestamp seen (kNoTime before
+  /// the stream: the first tuple builds the heap). Leaves the cached edge
+  /// alone; Recache(max_ts) re-derives it.
+  void Refresh(Time max_ts) {
+    starts_only_ =
+        queries_->stream_in_order && !queries_->slice_at_window_ends;
+    ca_windows_.clear();
+    for (const WindowPtr& w : queries_->windows) {
+      if (QuerySet::OnTimeLane(w) && QuerySet::IsContextAware(w)) {
+        ca_windows_.push_back(w.get());
+      }
+    }
+    RebuildHeap(max_ts);
+  }
 
   /// Ensures the open slice exists and covers `ts`; cuts at passed window
   /// edges. Must be called for every in-order tuple before context
@@ -30,7 +52,8 @@ class StreamSlicer {
   void OnInOrderTuple(Time ts) {
     if (store_->Empty()) {
       const Time start = ClampedLastEdge(ts);
-      next_edge_ = ComputeNextEdge(ts);
+      RebuildHeap(ts);
+      next_edge_ = NextEdge(ts);
       store_->Append(start, next_edge_);
       return;
     }
@@ -41,10 +64,26 @@ class StreamSlicer {
       Slice* cur = store_->Current();
       if (cur->end() > next_edge_) cur->set_end(next_edge_);
       // Open the next slice at the latest edge <= ts (skipping empty
-      // regions).
-      Time start = ClampedLastEdge(ts);
+      // regions). Only windows whose heap edge ts passed can have an edge
+      // in [next_edge_, ts]: every other context-free window's latest edge
+      // lies at or before the previous position, below next_edge_ (a
+      // window's slicer edges include every edge LastEdgeAtOrBefore
+      // reports; start and end edges coincide where only starts cut).
+      Time start = kNoTime;
+      while (!heap_.Empty() && heap_.TopEdge() <= ts) {
+        const Window& w = *queries_->windows[heap_.TopId()];
+        start = std::max(start, w.LastEdgeAtOrBefore(ts));
+        heap_.ReplaceTopEdge(SlicerEdge(w, ts));
+      }
+      for (const Window* w : ca_windows_) {
+        start = std::max(start, w->LastEdgeAtOrBefore(ts));
+      }
+      // No passed window announced an edge at or before ts (a window that
+      // is inconsistent with its own next edge): fall back to the full
+      // scan, which also covers the unpassed windows.
+      if (start == kNoTime) start = ClampedLastEdge(ts);
       if (start < next_edge_) start = next_edge_;
-      next_edge_ = ComputeNextEdge(ts);
+      next_edge_ = NextEdge(ts);
       store_->Append(start, next_edge_);
     }
   }
@@ -52,9 +91,10 @@ class StreamSlicer {
   /// Recomputes the cached edge after the current tuple was processed.
   /// Needed whenever context-aware windows are present (their edges move
   /// with the stream, e.g., a session timeout extends with every tuple);
-  /// context-free edges are already cached correctly.
+  /// context-free edges are already cached correctly. Costs O(number of
+  /// context-aware windows): the heap top is still the context-free minimum.
   void Recache(Time ts) {
-    next_edge_ = ComputeNextEdge(ts);
+    next_edge_ = NextEdge(ts);
     if (Slice* cur = store_->Current()) {
       // The open slice's provisional end follows the next edge.
       if (next_edge_ > cur->start()) cur->set_end(next_edge_);
@@ -63,24 +103,39 @@ class StreamSlicer {
 
   Time next_edge() const { return next_edge_; }
 
-  /// Snapshot support: the slicer's only state is the cached edge (store and
-  /// query set are wiring re-established on restore).
+  /// Snapshot support: the slicer's only serialized state is the cached
+  /// edge. The edge heap is a pure function of the largest in-order
+  /// timestamp and is rebuilt by Refresh on restore.
   void Serialize(state::Writer& w) const { w.I64(next_edge_); }
   void Deserialize(state::Reader& r) { next_edge_ = r.I64(); }
 
  private:
-  /// min over time-lane windows of the next edge after ts.
-  Time ComputeNextEdge(Time ts) const {
-    Time edge = kMaxTime;
-    for (const WindowPtr& w : queries_->windows) {
-      if (!QuerySet::OnTimeLane(w)) continue;
-      const bool starts_only =
-          queries_->stream_in_order && !queries_->slice_at_window_ends;
-      const Time e =
-          starts_only ? w->GetNextStartEdge(ts) : w->GetNextEdge(ts);
-      if (e < edge) edge = e;
+  /// The next edge after t at which `w` requires a slice to start.
+  Time SlicerEdge(const Window& w, Time t) const {
+    return starts_only_ ? w.GetNextStartEdge(t) : w.GetNextEdge(t);
+  }
+
+  /// min over time-lane windows of the next slicer edge after ts; the heap
+  /// must hold every context-free window's edge after ts.
+  Time NextEdge(Time ts) const {
+    Time edge = heap_.TopEdge();
+    for (const Window* w : ca_windows_) {
+      edge = std::min(edge, SlicerEdge(*w, ts));
     }
     return edge;
+  }
+
+  /// Fills the heap with every context-free time-lane window's next slicer
+  /// edge after ts (empty when ts is kNoTime).
+  void RebuildHeap(Time ts) {
+    heap_.Clear();
+    if (ts == kNoTime) return;
+    for (size_t i = 0; i < queries_->windows.size(); ++i) {
+      const WindowPtr& w = queries_->windows[i];
+      if (!QuerySet::OnTimeLane(w) || QuerySet::IsContextAware(w)) continue;
+      heap_.Append(SlicerEdge(*w, ts), static_cast<int>(i));
+    }
+    heap_.Heapify();
   }
 
   /// max over time-lane windows of the latest edge at or before ts
@@ -97,6 +152,9 @@ class StreamSlicer {
 
   AggregateStore* store_;
   const QuerySet* queries_;
+  bool starts_only_ = false;
+  std::vector<const Window*> ca_windows_;  // time-lane, context-aware
+  EdgeHeap heap_;  // (next slicer edge, window id), context-free time lane
   Time next_edge_ = kMaxTime;
 };
 

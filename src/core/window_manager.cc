@@ -73,7 +73,9 @@ void WindowManager::TriggerWindow(int window_id, Time prev_wm, Time curr_wm,
 void WindowManager::EmitLateUpdates(Time ts, Time last_wm,
                                     const std::vector<char>* skip,
                                     std::vector<WindowResult>* out) {
-  if (last_wm == kNoTime || ts > last_wm) return;
+  // Already-emitted windows that can contain ts end in (ts, last_wm]:
+  // empty when ts == last_wm (a same-timestamp tuple on an in-order stream).
+  if (last_wm == kNoTime || ts >= last_wm) return;
   for (size_t w = 0; w < queries_->windows.size(); ++w) {
     const WindowPtr& win = queries_->windows[w];
     if (!QuerySet::OnTimeLane(win)) continue;

@@ -2,6 +2,19 @@
 
 namespace scotty {
 
+void CharacterizeWindow(const Window& win, WorkloadCharacteristics* w) {
+  if (win.measure() == Measure::kCount) w->any_count_measure = true;
+  const ContextClass cc = win.context_class();
+  if (cc == ContextClass::kContextFree) return;
+  if (win.IsSession()) {
+    w->any_session_window = true;
+    return;
+  }
+  w->any_context_aware_non_session = true;
+  if (cc == ContextClass::kForwardContextAware) w->any_fca_window = true;
+  if (cc == ContextClass::kForwardContextFree) w->any_fcf_window = true;
+}
+
 WorkloadCharacteristics Characterize(
     const std::vector<WindowPtr>& windows,
     const std::vector<AggregateFunctionPtr>& aggs, bool stream_in_order) {
@@ -14,18 +27,7 @@ WorkloadCharacteristics Characterize(
     if (fn->Class() == AggClass::kHolistic) w.any_holistic = true;
   }
   for (const WindowPtr& win : windows) {
-    if (!win) continue;
-    if (win->measure() == Measure::kCount) w.any_count_measure = true;
-    const ContextClass cc = win->context_class();
-    if (cc != ContextClass::kContextFree) {
-      if (win->IsSession()) {
-        w.any_session_window = true;
-      } else {
-        w.any_context_aware_non_session = true;
-        if (cc == ContextClass::kForwardContextAware) w.any_fca_window = true;
-        if (cc == ContextClass::kForwardContextFree) w.any_fcf_window = true;
-      }
-    }
+    if (win) CharacterizeWindow(*win, &w);
   }
   return w;
 }

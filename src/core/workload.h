@@ -31,6 +31,10 @@ struct StorageDecision {
   std::string reason;
 };
 
+/// Folds one window's characteristics into `w`. Window flags only ever turn
+/// on, so folding windows one at a time equals characterizing them at once.
+void CharacterizeWindow(const Window& win, WorkloadCharacteristics* w);
+
 /// Extracts the characteristics of a query set. `windows` may contain null
 /// entries (removed queries).
 WorkloadCharacteristics Characterize(

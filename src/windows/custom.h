@@ -66,7 +66,7 @@ class CustomContextFreeWindow : public ContextFreeWindow {
     }
   }
 
-  Time EvictionSafePoint(Time wm) const override { return wm - max_extent_; }
+  Time EvictionLookback() const override { return max_extent_; }
 
   std::string Name() const override { return "custom(" + name_ + ")"; }
 

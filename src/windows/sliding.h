@@ -59,7 +59,7 @@ class SlidingWindow : public ContextFreeWindow {
     for (; end <= curr_wm; end += slide_) cb.OnWindow(end - length_, end);
   }
 
-  Time EvictionSafePoint(Time wm) const override { return wm - length_; }
+  Time EvictionLookback() const override { return length_; }
 
   std::string Name() const override {
     return "sliding(" + std::to_string(length_) + "," +

@@ -37,7 +37,7 @@ class TumblingWindow : public ContextFreeWindow {
     }
   }
 
-  Time EvictionSafePoint(Time wm) const override { return wm - length_; }
+  Time EvictionLookback() const override { return length_; }
 
   std::string Name() const override {
     return "tumbling(" + std::to_string(length_) + ")";

@@ -99,11 +99,20 @@ class Window {
   virtual void TriggerWindows(WindowCallback& cb, Time prev_wm,
                               Time curr_wm) = 0;
 
+  /// A constant eviction lookback L: EvictionSafePoint(wm) is wm - L for
+  /// every wm, and the window has no internal state to evict. The operator
+  /// folds such bounds into one number instead of asking every window on
+  /// every trigger. kNoTime: the safe point depends on window state.
+  virtual Time EvictionLookback() const { return kNoTime; }
+
   /// The earliest timestamp whose slices a pending or future window of this
   /// type may still read, given watermark `wm`. Slices entirely before this
   /// point minus the allowed lateness can be evicted. kNoTime means "keep
   /// everything" (no safe bound known).
-  virtual Time EvictionSafePoint(Time wm) const { return wm; }
+  virtual Time EvictionSafePoint(Time wm) const {
+    const Time lookback = EvictionLookback();
+    return lookback == kNoTime ? wm : wm - lookback;
+  }
 
   /// Drops window-internal state (sessions, punctuation edges) that lies
   /// entirely before `t` (outside the allowed lateness).
