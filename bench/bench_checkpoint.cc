@@ -145,9 +145,9 @@ void RunPipelineOverhead() {
           copts.async = mode.async;
           copts.incremental = mode.incremental;
           CheckpointCoordinator coord(copts);
-          const CheckpointedPipelineReport rep =
+          const PipelineReport rep =
               RunCheckpointedPipeline(src, *op, kTuples, popts, coord);
-          on_tps.push_back(rep.report.TuplesPerSecond());
+          on_tps.push_back(rep.TuplesPerSecond());
         }
         const double on = MedianMs(on_tps);
         EmitRow("checkpoint", std::string(TechniqueName(tech)) + "/pipeline",

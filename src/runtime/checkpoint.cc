@@ -614,77 +614,74 @@ RecoveredOperator RecoverNewestValid(const std::string& directory,
 
 namespace {
 
-/// Shared driver loop for the initial run and the resumed continuation:
-/// identical tuple/watermark cadence to RunPipeline, plus a checkpoint
-/// barrier after every watermark's results were drained. Supports both the
-/// per-tuple and the batched ingestion interleaving; blocks never straddle
-/// a watermark injection point, so the operator state observed at each
-/// barrier — and therefore every snapshot file — is byte-identical between
-/// the two.
-void DrivePipeline(TupleSource& src, WindowOperator& op, uint64_t start_index,
-                   uint64_t max_tuples, const PipelineOptions& opts,
-                   CheckpointCoordinator* coord, Time max_ts,
-                   CheckpointedPipelineReport* out, const ResultSink& sink) {
+/// The one sequential driver loop, behind RunPipeline (no coordinator, no
+/// sink), RunCheckpointedPipeline and the resumed pipelines: tuples from
+/// `start_index` on, a watermark after every `watermark_every`-th tuple
+/// with its results drained, then a checkpoint barrier when `coord` is set.
+/// Tuples go to the operator in blocks of max(1, batch_size) that stop at
+/// the next watermark point; with batch_size <= 1 the block's one tuple
+/// goes through ProcessTuple, the per-tuple reference interleaving. Every
+/// batch size therefore shows the operator the same tuple/watermark
+/// sequence, and every snapshot file is byte-identical between them.
+PipelineReport DrivePipeline(TupleSource& src, WindowOperator& op,
+                             uint64_t start_index, Time max_ts,
+                             uint64_t max_tuples, const PipelineOptions& opts,
+                             CheckpointCoordinator* coord,
+                             const ResultSink& sink) {
+  PipelineReport out;
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<WindowResult> drained;
   auto drain = [&] {
-    for (const WindowResult& r : op.TakeResults()) {
-      ++out->report.results;
-      if (r.is_update) ++out->report.updates;
+    drained.clear();
+    op.TakeResultsInto(&drained);
+    for (const WindowResult& r : drained) {
+      ++out.results;
+      if (r.is_update) ++out.updates;
       if (sink) sink(r);
     }
   };
-  auto barrier = [&](uint64_t next_index, Time wm) {
-    if (coord == nullptr) return;
-    state::CheckpointMetadata meta;
-    meta.source_offset = next_index;
-    meta.next_seq = next_index;
-    meta.max_ts = max_ts;
-    meta.last_wm = wm;
-    const std::string path = coord->OnBarrier(op, meta);
-    if (!path.empty()) {
-      ++out->checkpoints;
-      out->last_checkpoint = path;
-    }
-  };
+  const uint64_t block = std::max<uint64_t>(1, opts.batch_size);
+  // Row-major source tuples transpose once into SoA columns here.
+  TupleBatchSoA buf(block);
   Tuple t;
-  if (opts.batch_size <= 1) {
-    for (uint64_t i = start_index; i < max_tuples && src.Next(&t); ++i) {
-      op.ProcessTuple(t);
-      max_ts = std::max(max_ts, t.ts);
-      ++out->report.tuples;
-      if (opts.watermark_every > 0 && (i + 1) % opts.watermark_every == 0) {
-        const Time wm = max_ts - opts.watermark_delay;
-        op.ProcessWatermark(wm);
-        // Results MUST leave the operator before the barrier: a snapshot
-        // taken with undrained results would re-emit them after restore,
-        // duplicating output the consumer already saw.
-        drain();
-        barrier(i + 1, wm);
-      }
+  bool more = true;
+  uint64_t i = start_index;
+  while (more && i < max_tuples) {
+    uint64_t limit = std::min(block, max_tuples - i);
+    if (opts.watermark_every > 0) {
+      limit = std::min(limit, opts.watermark_every - i % opts.watermark_every);
     }
-  } else {
-    // Row-major source tuples transpose once into SoA columns here.
-    TupleBatchSoA buf(opts.batch_size);
-    bool more = true;
-    uint64_t i = start_index;
-    while (more && i < max_tuples) {
-      uint64_t limit = std::min(opts.batch_size, max_tuples - i);
-      if (opts.watermark_every > 0) {
-        limit = std::min(limit, opts.watermark_every - i % opts.watermark_every);
-      }
-      buf.Clear();
-      while (buf.size() < limit && (more = src.Next(&t))) {
-        buf.PushBack(t);
-        max_ts = std::max(max_ts, t.ts);
-      }
-      if (buf.empty()) break;
+    buf.Clear();
+    while (buf.size() < limit && (more = src.Next(&t))) {
+      buf.PushBack(t);
+      max_ts = std::max(max_ts, t.ts);
+    }
+    if (buf.empty()) break;
+    if (opts.batch_size <= 1) {
+      op.ProcessTuple(t);  // the block's only tuple
+    } else {
       op.ProcessTupleColumns(buf.View());
-      i += buf.size();
-      out->report.tuples += buf.size();
-      if (opts.watermark_every > 0 && i % opts.watermark_every == 0) {
-        const Time wm = max_ts - opts.watermark_delay;
-        op.ProcessWatermark(wm);
-        drain();
-        barrier(i, wm);
+    }
+    i += buf.size();
+    out.tuples += buf.size();
+    if (opts.watermark_every > 0 && i % opts.watermark_every == 0) {
+      const Time wm = max_ts - opts.watermark_delay;
+      op.ProcessWatermark(wm);
+      // Results MUST leave the operator before the barrier: a snapshot
+      // taken with undrained results would re-emit them after restore,
+      // duplicating output the consumer already saw.
+      drain();
+      if (coord != nullptr) {
+        state::CheckpointMetadata meta;
+        meta.source_offset = i;
+        meta.next_seq = i;
+        meta.max_ts = max_ts;
+        meta.last_wm = wm;
+        const std::string path = coord->OnBarrier(op, meta);
+        if (!path.empty()) {
+          ++out.checkpoints;
+          out.last_checkpoint = path;
+        }
       }
     }
   }
@@ -698,54 +695,56 @@ void DrivePipeline(TupleSource& src, WindowOperator& op, uint64_t start_index,
   // background.
   if (coord != nullptr) {
     coord->Flush();
-    out->health = coord->HealthReport();
+    out.health = coord->HealthReport();
   }
-}
-
-}  // namespace
-
-CheckpointedPipelineReport RunCheckpointedPipeline(
-    TupleSource& src, WindowOperator& op, uint64_t max_tuples,
-    const PipelineOptions& opts, CheckpointCoordinator& coord,
-    const ResultSink& sink) {
-  CheckpointedPipelineReport out;
-  const auto start = std::chrono::steady_clock::now();
-  DrivePipeline(src, op, 0, max_tuples, opts, &coord, kNoTime, &out, sink);
-  out.report.seconds =
+  out.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return out;
 }
 
-namespace {
-
-/// Shared resume tail: fast-forward the source past the snapshot's offset,
-/// continue the barrier numbering, and replay the remainder.
-bool ResumeFromRestored(RestoredOperator restored, TupleSource& src,
+/// Resume tail shared by RestorePipeline and RecoverPipeline:
+/// fast-forward the source past the snapshot's offset, continue the barrier
+/// numbering, and replay the remainder.
+void ResumeFromRestored(RestoredOperator restored, TupleSource& src,
                         uint64_t max_tuples, const PipelineOptions& opts,
                         CheckpointCoordinator* coord, const ResultSink& sink,
-                        CheckpointedPipelineReport* report,
-                        std::unique_ptr<WindowOperator>* op,
-                        std::string* error) {
+                        ResumedPipeline* out) {
+  if (!restored.ok) {
+    out->report.ok = false;
+    out->report.error = std::move(restored.error);
+    return;
+  }
   Tuple t;
   uint64_t skipped = 0;
   while (skipped < restored.meta.source_offset && src.Next(&t)) ++skipped;
   if (skipped != restored.meta.source_offset) {
-    *error = "source exhausted before the checkpoint offset";
-    return false;
+    out->report.ok = false;
+    out->report.error = "source exhausted before the checkpoint offset";
+    return;
   }
   if (coord != nullptr) coord->SetBarrierIndex(restored.meta.barrier_index + 1);
-  const auto start = std::chrono::steady_clock::now();
-  DrivePipeline(src, *restored.op, restored.meta.source_offset, max_tuples,
-                opts, coord, restored.meta.max_ts, report, sink);
-  report->report.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  *op = std::move(restored.op);
-  return true;
+  out->report = DrivePipeline(src, *restored.op, restored.meta.source_offset,
+                              restored.meta.max_ts, max_tuples, opts, coord,
+                              sink);
+  out->op = std::move(restored.op);
 }
 
 }  // namespace
+
+PipelineReport RunPipeline(TupleSource& src, WindowOperator& op,
+                           uint64_t max_tuples, const PipelineOptions& opts) {
+  return DrivePipeline(src, op, 0, kNoTime, max_tuples, opts, nullptr,
+                       nullptr);
+}
+
+PipelineReport RunCheckpointedPipeline(TupleSource& src, WindowOperator& op,
+                                       uint64_t max_tuples,
+                                       const PipelineOptions& opts,
+                                       CheckpointCoordinator& coord,
+                                       const ResultSink& sink) {
+  return DrivePipeline(src, op, 0, kNoTime, max_tuples, opts, &coord, sink);
+}
 
 ResumedPipeline RestorePipeline(const std::string& snapshot_path,
                                 const OperatorFactory& factory,
@@ -754,35 +753,25 @@ ResumedPipeline RestorePipeline(const std::string& snapshot_path,
                                 CheckpointCoordinator* coord,
                                 const ResultSink& sink) {
   ResumedPipeline out;
-  RestoredOperator restored =
-      RestoreOperatorWithDeltas(snapshot_path, factory);
-  if (!restored.ok) {
-    out.error = std::move(restored.error);
-    return out;
-  }
-  out.ok = ResumeFromRestored(std::move(restored), src, max_tuples, opts,
-                              coord, sink, &out.report, &out.op, &out.error);
+  out.path_used = snapshot_path;
+  ResumeFromRestored(RestoreOperatorWithDeltas(snapshot_path, factory), src,
+                     max_tuples, opts, coord, sink, &out);
   return out;
 }
 
-RecoveredPipeline RecoverPipeline(const std::string& directory,
-                                  const std::string& prefix,
-                                  const OperatorFactory& factory,
-                                  TupleSource& src, uint64_t max_tuples,
-                                  const PipelineOptions& opts,
-                                  CheckpointCoordinator* coord,
-                                  const ResultSink& sink) {
-  RecoveredPipeline out;
+ResumedPipeline RecoverPipeline(const std::string& directory,
+                                const std::string& prefix,
+                                const OperatorFactory& factory,
+                                TupleSource& src, uint64_t max_tuples,
+                                const PipelineOptions& opts,
+                                CheckpointCoordinator* coord,
+                                const ResultSink& sink) {
+  ResumedPipeline out;
   RecoveredOperator rec = RecoverNewestValid(directory, prefix, factory);
   out.fell_back = rec.fell_back;
   out.path_used = rec.path_used;
-  if (!rec.restored.ok) {
-    out.error = std::move(rec.restored.error);
-    return out;
-  }
-  out.ok =
-      ResumeFromRestored(std::move(rec.restored), src, max_tuples, opts,
-                         coord, sink, &out.report, &out.op, &out.error);
+  ResumeFromRestored(std::move(rec.restored), src, max_tuples, opts, coord,
+                     sink, &out);
   return out;
 }
 

@@ -383,16 +383,6 @@ RecoveredOperator RecoverNewestValid(const std::string& directory,
                                      const std::string& prefix,
                                      const OperatorFactory& factory);
 
-struct CheckpointedPipelineReport {
-  PipelineReport report;
-  uint64_t checkpoints = 0;
-  std::string last_checkpoint;
-  /// Coordinator persistence health at return (after the final Flush), so
-  /// callers observe degradation — retried or dropped persists, a terminal
-  /// kFailed — without keeping the coordinator around.
-  CheckpointHealthReport health;
-};
-
 /// RunPipeline with a barrier after every injected watermark: identical
 /// tuple/watermark sequence to the plain driver, plus one snapshot per
 /// watermark. Honors PipelineOptions::batch_size — batched blocks never
@@ -400,10 +390,23 @@ struct CheckpointedPipelineReport {
 /// the per-tuple driver would have had and the snapshot files are
 /// byte-identical between the two interleavings. Flushes the coordinator
 /// before returning, so async persists are settled when this returns.
-CheckpointedPipelineReport RunCheckpointedPipeline(
-    TupleSource& src, WindowOperator& op, uint64_t max_tuples,
-    const PipelineOptions& opts, CheckpointCoordinator& coord,
-    const ResultSink& sink = nullptr);
+PipelineReport RunCheckpointedPipeline(TupleSource& src, WindowOperator& op,
+                                       uint64_t max_tuples,
+                                       const PipelineOptions& opts,
+                                       CheckpointCoordinator& coord,
+                                       const ResultSink& sink = nullptr);
+
+/// A pipeline resumed from a checkpoint. `report.ok` is false (with
+/// op=nullptr and `report.error` set) when no snapshot validates or the
+/// source ends before the recovered offset. `path_used` names the base the
+/// operator was restored from; `fell_back` reports that a newer base was
+/// rejected first (only RecoverPipeline searches, so only it sets it).
+struct ResumedPipeline {
+  PipelineReport report;
+  std::unique_ptr<WindowOperator> op;
+  bool fell_back = false;
+  std::string path_used;
+};
 
 /// Resumes a checkpointed pipeline: restores the operator from
 /// `snapshot_path` via `factory` (replaying its delta segment, if any),
@@ -412,15 +415,7 @@ CheckpointedPipelineReport RunCheckpointedPipeline(
 /// RunCheckpointedPipeline would have used (continuing to take checkpoints
 /// through `coord`). The union of results drained before the crash and
 /// results produced by the resumed run equals the uninterrupted run's
-/// results exactly. Returns ok=false (with op=nullptr) if the snapshot
-/// fails validation.
-struct ResumedPipeline {
-  CheckpointedPipelineReport report;
-  std::unique_ptr<WindowOperator> op;
-  bool ok = false;
-  std::string error;
-};
-
+/// results exactly.
 ResumedPipeline RestorePipeline(const std::string& snapshot_path,
                                 const OperatorFactory& factory,
                                 TupleSource& src, uint64_t max_tuples,
@@ -431,23 +426,14 @@ ResumedPipeline RestorePipeline(const std::string& snapshot_path,
 /// RestorePipeline from the newest VALID snapshot in a directory (see
 /// RecoverNewestValid): tries bases newest-first, replays delta segments,
 /// falls back past torn or corrupt files, and only fails when no base
-/// validates. `fell_back` on the result reports that the newest base was
-/// rejected.
-struct RecoveredPipeline {
-  CheckpointedPipelineReport report;
-  std::unique_ptr<WindowOperator> op;
-  bool ok = false;
-  bool fell_back = false;
-  std::string path_used;
-  std::string error;
-};
-RecoveredPipeline RecoverPipeline(const std::string& directory,
-                                  const std::string& prefix,
-                                  const OperatorFactory& factory,
-                                  TupleSource& src, uint64_t max_tuples,
-                                  const PipelineOptions& opts,
-                                  CheckpointCoordinator* coord,
-                                  const ResultSink& sink = nullptr);
+/// validates.
+ResumedPipeline RecoverPipeline(const std::string& directory,
+                                const std::string& prefix,
+                                const OperatorFactory& factory,
+                                TupleSource& src, uint64_t max_tuples,
+                                const PipelineOptions& opts,
+                                CheckpointCoordinator* coord,
+                                const ResultSink& sink = nullptr);
 
 }  // namespace scotty
 

@@ -445,11 +445,9 @@ bool RunSharedRegistryOnce(
     }
   };
 
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  for (size_t i = 0; i < stream.size(); ++i) {
-    if (plan.dynamics && i == plan.flip_at) {
+  ReplayCursor cur(cfg.wm_every, wm_lag);
+  while (cur.next() < stream.size()) {
+    if (plan.dynamics && cur.next() == plan.flip_at) {
       drain();
       if (!reg.Deregister(ids[dropped])) return fail("deregister refused");
       live.erase(std::find(live.begin(), live.end(), dropped));
@@ -460,18 +458,10 @@ bool RunSharedRegistryOnce(
       }
       late_horizon = reg.Plan(late_id).horizon;
     }
-    Tuple t = stream[i];
-    t.seq = seq++;
-    reg.ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (cfg.wm_every > 0 &&
-        seq % static_cast<uint64_t>(cfg.wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        reg.ProcessWatermark(wm);
-        last_wm = wm;
-        drain();
-      }
+    reg.ProcessTuple(cur.Admit(stream));
+    if (const std::optional<Time> wm = cur.DueWatermark()) {
+      reg.ProcessWatermark(*wm);
+      drain();
     }
   }
   reg.ProcessWatermark(final_wm);

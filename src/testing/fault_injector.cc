@@ -206,38 +206,24 @@ bool RunToFinalResultsCrashRecovered(
   // how queued-but-unpersisted async barriers get lost, exactly like a real
   // process death after Abandon.
   std::map<ResultKey, Value> delivered;
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
+  ReplayCursor cur(wm_every, wm_lag);
   const size_t n = tuples.size();
   const size_t crash_at = std::min<size_t>(
       static_cast<size_t>(plan.crash_index), n);
   {
     CheckpointCoordinator coord(copts);
-    for (size_t i = 0; i < crash_at; ++i) {
-      Tuple t = tuples[i];
-      t.seq = seq++;
-      op->ProcessTuple(t);
-      max_ts = std::max(max_ts, t.ts);
-      if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-        const Time wm = max_ts - wm_lag;
-        if (wm > last_wm || last_wm == kNoTime) {
-          op->ProcessWatermark(wm);
-          last_wm = wm;
-          DrainInto(*op, &delivered);
-          state::CheckpointMetadata meta;
-          meta.source_offset = i + 1;
-          meta.next_seq = seq;
-          meta.max_ts = max_ts;
-          meta.last_wm = last_wm;
-          const std::string path = coord.OnBarrier(*op, meta);
-          // Only the async queue may legitimately shed a barrier; a
-          // synchronous persist failing here is a harness bug.
-          if (path.empty() && plan.mode != PersistMode::kAsyncIncremental) {
-            *error =
-                "checkpoint persist failed at tuple " + std::to_string(i + 1);
-            return false;
-          }
+    while (cur.next() < crash_at) {
+      op->ProcessTuple(cur.Admit(tuples));
+      if (const std::optional<Time> wm = cur.DueWatermark()) {
+        op->ProcessWatermark(*wm);
+        DrainInto(*op, &delivered);
+        const std::string path = coord.OnBarrier(*op, cur.Barrier());
+        // Only the async queue may legitimately shed a barrier; a
+        // synchronous persist failing here is a harness bug.
+        if (path.empty() && plan.mode != PersistMode::kAsyncIncremental) {
+          *error =
+              "checkpoint persist failed at tuple " + std::to_string(cur.next());
+          return false;
         }
       }
     }
@@ -264,10 +250,7 @@ bool RunToFinalResultsCrashRecovered(
 
   // Recovery: newest valid base + its valid delta prefix wins; from scratch
   // when none validates.
-  size_t resume_at = 0;
-  seq = 0;
-  max_ts = kNoTime;
-  last_wm = kNoTime;
+  cur = ReplayCursor(wm_every, wm_lag);
   RecoveredOperator rec = RecoverNewestValid(scratch_dir, copts.prefix, factory);
   const bool newest_base_damaged =
       plan.fault != SnapshotFault::kNone ||
@@ -279,10 +262,7 @@ bool RunToFinalResultsCrashRecovered(
       return false;
     }
     op = std::move(rec.restored.op);
-    resume_at = static_cast<size_t>(rec.restored.meta.source_offset);
-    seq = rec.restored.meta.next_seq;
-    max_ts = rec.restored.meta.max_ts;
-    last_wm = rec.restored.meta.last_wm;
+    cur.Resume(rec.restored.meta);
     if (stats != nullptr) {
       stats->fell_back = rec.fell_back;
       stats->path_used = rec.path_used;
@@ -308,18 +288,11 @@ bool RunToFinalResultsCrashRecovered(
 
   // Replay from the barrier (or from scratch) with the identical cadence.
   std::map<ResultKey, Value> replayed;
-  for (size_t i = resume_at; i < n; ++i) {
-    Tuple t = tuples[i];
-    t.seq = seq++;
-    op->ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        op->ProcessWatermark(wm);
-        last_wm = wm;
-        DrainInto(*op, &replayed);
-      }
+  while (cur.next() < n) {
+    op->ProcessTuple(cur.Admit(tuples));
+    if (const std::optional<Time> wm = cur.DueWatermark()) {
+      op->ProcessWatermark(*wm);
+      DrainInto(*op, &replayed);
     }
   }
   op->ProcessWatermark(final_wm);
@@ -345,21 +318,12 @@ bool RunKeyedToFinalResults(
     *error = "factory returned null";
     return false;
   }
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  for (const Tuple& src : tuples) {
-    Tuple t = src;
-    t.seq = seq++;
-    op->ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        op->ProcessWatermark(wm);
-        last_wm = wm;
-        DrainIntoKeyed(*op, out);
-      }
+  ReplayCursor cur(wm_every, wm_lag);
+  while (cur.next() < tuples.size()) {
+    op->ProcessTuple(cur.Admit(tuples));
+    if (const std::optional<Time> wm = cur.DueWatermark()) {
+      op->ProcessWatermark(*wm);
+      DrainIntoKeyed(*op, out);
     }
   }
   op->ProcessWatermark(final_wm);
@@ -403,47 +367,34 @@ bool RunKeyedRescaleCrashRecovered(
     }
   }
   std::map<KeyedResultKey, Value> delivered;
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
+  ReplayCursor cur(wm_every, wm_lag);
   const size_t n = tuples.size();
   const size_t crash_at =
       std::min<size_t>(static_cast<size_t>(plan.crash_index), n);
   {
     CheckpointCoordinator coord(copts);
-    for (size_t i = 0; i < crash_at; ++i) {
-      Tuple t = tuples[i];
-      t.seq = seq++;
+    while (cur.next() < crash_at) {
+      const Tuple t = cur.Admit(tuples);
       workers[ParallelExecutor::WorkerIndexForKey(t.key, from_workers)]
           ->ProcessTuple(t);
-      max_ts = std::max(max_ts, t.ts);
-      if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-        const Time wm = max_ts - wm_lag;
-        if (wm > last_wm || last_wm == kNoTime) {
-          last_wm = wm;
-          for (auto& w : workers) {
-            w->ProcessWatermark(wm);
-            DrainIntoKeyed(*w, &delivered);
-          }
-          std::vector<std::vector<uint8_t>> states;
-          states.reserve(from_workers);
-          for (auto& w : workers) {
-            state::Writer sw;
-            w->SerializeState(sw);
-            states.push_back(sw.Take());
-          }
-          state::CheckpointMetadata meta;
-          meta.source_offset = i + 1;
-          meta.next_seq = seq;
-          meta.max_ts = max_ts;
-          meta.last_wm = last_wm;
-          const std::string path = coord.OnBarrierBytes(
-              "parallel", BuildParallelSnapshotBlob(states), meta);
-          if (path.empty() && plan.mode != PersistMode::kAsyncIncremental) {
-            *error =
-                "checkpoint persist failed at tuple " + std::to_string(i + 1);
-            return false;
-          }
+      if (const std::optional<Time> wm = cur.DueWatermark()) {
+        for (auto& w : workers) {
+          w->ProcessWatermark(*wm);
+          DrainIntoKeyed(*w, &delivered);
+        }
+        std::vector<std::vector<uint8_t>> states;
+        states.reserve(from_workers);
+        for (auto& w : workers) {
+          state::Writer sw;
+          w->SerializeState(sw);
+          states.push_back(sw.Take());
+        }
+        const std::string path = coord.OnBarrierBytes(
+            "parallel", BuildParallelSnapshotBlob(states), cur.Barrier());
+        if (path.empty() && plan.mode != PersistMode::kAsyncIncremental) {
+          *error =
+              "checkpoint persist failed at tuple " + std::to_string(cur.next());
+          return false;
         }
       }
     }
@@ -466,10 +417,7 @@ bool RunKeyedRescaleCrashRecovered(
 
   // Recovery onto `to_workers`: newest base whose combined blob validates
   // end-to-end (container, framing, re-partition, per-worker decode) wins.
-  size_t resume_at = 0;
-  seq = 0;
-  max_ts = kNoTime;
-  last_wm = kNoTime;
+  cur = ReplayCursor(wm_every, wm_lag);
   bool recovered = false;
   bool fell_back = false;
   const bool newest_base_damaged =
@@ -513,10 +461,7 @@ bool RunKeyedRescaleCrashRecovered(
       return false;
     }
     workers = std::move(fresh);
-    resume_at = static_cast<size_t>(meta.source_offset);
-    seq = meta.next_seq;
-    max_ts = meta.max_ts;
-    last_wm = meta.last_wm;
+    cur.Resume(meta);
     recovered = true;
     if (stats != nullptr) {
       stats->fell_back = fell_back;
@@ -540,20 +485,14 @@ bool RunKeyedRescaleCrashRecovered(
 
   // Phase two: replay on the new topology.
   std::map<KeyedResultKey, Value> replayed;
-  for (size_t i = resume_at; i < n; ++i) {
-    Tuple t = tuples[i];
-    t.seq = seq++;
+  while (cur.next() < n) {
+    const Tuple t = cur.Admit(tuples);
     workers[ParallelExecutor::WorkerIndexForKey(t.key, to_workers)]
         ->ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        last_wm = wm;
-        for (auto& w : workers) {
-          w->ProcessWatermark(wm);
-          DrainIntoKeyed(*w, &replayed);
-        }
+    if (const std::optional<Time> wm = cur.DueWatermark()) {
+      for (auto& w : workers) {
+        w->ProcessWatermark(*wm);
+        DrainIntoKeyed(*w, &replayed);
       }
     }
   }
@@ -669,24 +608,21 @@ bool RunOverloadedToFinalResults(
   const auto kMustDeliver = std::chrono::seconds(10);
 
   bool ok = true;
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
+  ReplayCursor cur(wm_every, wm_lag);
   uint64_t barriers = 0;
   const size_t n = tuples.size();
-  for (size_t i = 0; i < n && ok; ++i) {
+  while (cur.next() < n) {
+    const size_t i = cur.next();
     stalled.store(i >= plan.stall_from && i < plan.stall_to,
                   std::memory_order_relaxed);
     slow.store(i >= plan.slow_from && i < plan.slow_to,
                std::memory_order_relaxed);
     failing.store(i >= plan.fail_from && i < plan.fail_to,
                   std::memory_order_relaxed);
-    Tuple t = tuples[i];
-    // Shed tuples still consume a seq slot and advance max_ts: the
-    // watermark cadence (and therefore every trigger edge) is identical to
-    // the unfaulted run no matter what gets shed.
-    t.seq = seq++;
-    max_ts = std::max(max_ts, t.ts);
+    // Admitted before the shed decision: shed tuples still consume a seq
+    // slot and advance max_ts, so every trigger edge matches the unfaulted
+    // run no matter what gets shed.
+    const Tuple t = cur.Admit(tuples);
     if (t.is_punctuation) {
       if (!exec.TryPushFor(t, kMustDeliver)) {
         *error = "punctuation push stalled out (dead consumer?)";
@@ -713,32 +649,23 @@ bool RunOverloadedToFinalResults(
         }
       }
     }
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        if (!exec.TryPushWatermarkFor(wm, kMustDeliver)) {
-          *error = "watermark push stalled out (dead consumer?)";
-          ok = false;
-          break;
-        }
-        last_wm = wm;
-        const std::vector<uint8_t> blob = exec.SnapshotAtBarrier();
-        if (!blob.empty()) {
-          state::CheckpointMetadata meta;
-          meta.source_offset = i + 1;
-          meta.next_seq = seq;
-          meta.max_ts = max_ts;
-          meta.last_wm = last_wm;
-          coord.OnBarrierBytes("parallel", blob, meta);
-          ++barriers;
-        }
+    if (const std::optional<Time> wm = cur.DueWatermark()) {
+      if (!exec.TryPushWatermarkFor(*wm, kMustDeliver)) {
+        *error = "watermark push stalled out (dead consumer?)";
+        ok = false;
+        break;
+      }
+      const std::vector<uint8_t> blob = exec.SnapshotAtBarrier();
+      if (!blob.empty()) {
+        coord.OnBarrierBytes("parallel", blob, cur.Barrier());
+        ++barriers;
       }
     }
   }
   stalled.store(false, std::memory_order_relaxed);
   slow.store(false, std::memory_order_relaxed);
   failing.store(false, std::memory_order_relaxed);
-  if (ok && max_ts != kNoTime &&
+  if (ok && cur.max_ts() != kNoTime &&
       !exec.TryPushWatermarkFor(final_wm, kMustDeliver)) {
     *error = "final watermark push stalled out (dead consumer?)";
     ok = false;

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -57,6 +58,126 @@ inline std::vector<WindowResult> RunStream(WindowOperator& op,
   return op.TakeResults();
 }
 
+/// The harness's delivery cadence over a replayed tuple vector: arrival
+/// stamping, the watermark rule and barrier metadata live here once, so
+/// every replay loop (plain, columnar, checkpointed, crash-recovered,
+/// keyed, overloaded, shared-query) feeds its operators the same
+/// tuple/watermark sequence. After every `wm_every`-th admitted tuple
+/// (0 disables) the watermark max_ts - wm_lag is due, unless it does not
+/// advance past the last one sent. The runtime drivers differ on purpose:
+/// they resend a repeated watermark, which a KeyedWindowOperator still
+/// forwards to the per-key operators created since the previous one.
+class ReplayCursor {
+ public:
+  ReplayCursor(int wm_every, Time wm_lag)
+      : wm_every_(wm_every > 0 ? static_cast<uint64_t>(wm_every) : 0),
+        wm_lag_(wm_lag) {}
+
+  /// Index of the next tuple to admit.
+  size_t next() const { return next_; }
+  /// Maximum event time admitted so far (kNoTime before the first tuple).
+  Time max_ts() const { return max_ts_; }
+
+  /// Admits tuples[next()]: returns a copy stamped with its arrival seq and
+  /// advances max_ts. A tuple that is then shed must still be admitted, so
+  /// the cadence (and every trigger edge) does not depend on the shed set.
+  Tuple Admit(const std::vector<Tuple>& tuples) {
+    Tuple t = tuples[next_++];
+    t.seq = seq_++;
+    max_ts_ = std::max(max_ts_, t.ts);
+    return t;
+  }
+
+  /// Size of the next block of at most `batch_size` tuples before index
+  /// `end`: it stops at the next watermark point, so no block straddles one.
+  size_t BlockLimit(size_t end, size_t batch_size) const {
+    size_t limit = std::min(end - next_, batch_size);
+    if (wm_every_ > 0) {
+      limit = std::min<size_t>(limit, wm_every_ - seq_ % wm_every_);
+    }
+    return limit;
+  }
+
+  /// The watermark due after the last admitted tuple, if any. A returned
+  /// watermark counts as sent.
+  std::optional<Time> DueWatermark() {
+    if (wm_every_ == 0 || seq_ % wm_every_ != 0) return std::nullopt;
+    const Time wm = max_ts_ - wm_lag_;
+    if (!Advances(wm, last_wm_)) return std::nullopt;
+    last_wm_ = wm;
+    return wm;
+  }
+
+  /// Metadata for a barrier taken before tuples[next()].
+  state::CheckpointMetadata Barrier() const {
+    state::CheckpointMetadata meta;
+    meta.source_offset = next_;
+    meta.next_seq = seq_;
+    meta.max_ts = max_ts_;
+    meta.last_wm = last_wm_;
+    return meta;
+  }
+
+  /// Continues from a barrier's metadata, as if the run had reached it.
+  void Resume(const state::CheckpointMetadata& meta) {
+    next_ = static_cast<size_t>(meta.source_offset);
+    seq_ = meta.next_seq;
+    max_ts_ = meta.max_ts;
+    last_wm_ = meta.last_wm;
+  }
+
+ private:
+  /// The monotone filter.
+  static bool Advances(Time wm, Time last_wm) {
+    return wm > last_wm || last_wm == kNoTime;
+  }
+
+  uint64_t wm_every_;
+  Time wm_lag_;
+  size_t next_ = 0;
+  uint64_t seq_ = 0;
+  Time max_ts_ = kNoTime;
+  Time last_wm_ = kNoTime;
+};
+
+/// Replays `tuples` through `op` with the ReplayCursor cadence, then a final
+/// watermark; returns the final value per window instance. `batch_size` 0
+/// delivers each tuple through ProcessTuple; otherwise tuples go through
+/// ProcessTupleColumns in blocks of up to `batch_size`.
+inline std::map<ResultKey, Value> ReplayToFinalResults(
+    WindowOperator& op, const std::vector<Tuple>& tuples, Time final_wm,
+    int wm_every, Time wm_lag, size_t batch_size) {
+  std::map<ResultKey, Value> out;
+  std::vector<WindowResult> drained;
+  auto drain = [&] {
+    drained.clear();
+    op.TakeResultsInto(&drained);
+    for (const WindowResult& r : drained) {
+      out[{r.window_id, r.agg_id, r.start, r.end}] = r.value;
+    }
+  };
+  ReplayCursor cur(wm_every, wm_lag);
+  TupleBatchSoA buf(batch_size);
+  while (cur.next() < tuples.size()) {
+    if (batch_size == 0) {
+      op.ProcessTuple(cur.Admit(tuples));
+    } else {
+      buf.Clear();
+      for (size_t k = cur.BlockLimit(tuples.size(), batch_size); k > 0; --k) {
+        buf.PushBack(cur.Admit(tuples));
+      }
+      op.ProcessTupleColumns(buf.View());
+    }
+    if (const std::optional<Time> wm = cur.DueWatermark()) {
+      op.ProcessWatermark(*wm);
+      drain();
+    }
+  }
+  op.ProcessWatermark(final_wm);
+  drain();
+  return out;
+}
+
 /// Like RunStream, but additionally issues a lagging watermark every
 /// `wm_every` tuples (wm = max event time seen − wm_lag). Exercises the
 /// trigger/update/eviction machinery mid-stream instead of only at the end.
@@ -68,31 +189,7 @@ inline std::map<ResultKey, Value> RunToFinalResults(WindowOperator& op,
                                                     Time final_wm,
                                                     int wm_every = 0,
                                                     Time wm_lag = 0) {
-  std::map<ResultKey, Value> out;
-  auto drain = [&] {
-    for (const WindowResult& r : op.TakeResults()) {
-      out[{r.window_id, r.agg_id, r.start, r.end}] = r.value;
-    }
-  };
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  for (Tuple t : tuples) {
-    t.seq = seq++;
-    op.ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        op.ProcessWatermark(wm);
-        last_wm = wm;
-        drain();
-      }
-    }
-  }
-  op.ProcessWatermark(final_wm);
-  drain();
-  return out;
+  return ReplayToFinalResults(op, tuples, final_wm, wm_every, wm_lag, 0);
 }
 
 /// Batched twin of RunToFinalResults: the identical tuple and watermark
@@ -105,50 +202,8 @@ inline std::map<ResultKey, Value> RunToFinalResults(WindowOperator& op,
 inline std::map<ResultKey, Value> RunToFinalResultsColumns(
     WindowOperator& op, const std::vector<Tuple>& tuples, Time final_wm,
     int wm_every, Time wm_lag, size_t batch_size) {
-  if (batch_size == 0) batch_size = 1;
-  std::map<ResultKey, Value> out;
-  std::vector<WindowResult> drained;
-  auto drain = [&] {
-    drained.clear();
-    op.TakeResultsInto(&drained);
-    for (const WindowResult& r : drained) {
-      out[{r.window_id, r.agg_id, r.start, r.end}] = r.value;
-    }
-  };
-  TupleBatchSoA buf(batch_size);
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
-  const size_t n = tuples.size();
-  size_t i = 0;
-  while (i < n) {
-    size_t limit = std::min(n - i, batch_size);
-    if (wm_every > 0) {
-      limit = std::min<size_t>(
-          limit, static_cast<size_t>(wm_every) -
-                     static_cast<size_t>(seq % static_cast<uint64_t>(wm_every)));
-    }
-    buf.Clear();
-    for (size_t k = 0; k < limit; ++k) {
-      Tuple t = tuples[i + k];
-      t.seq = seq++;
-      max_ts = std::max(max_ts, t.ts);
-      buf.PushBack(t);
-    }
-    i += limit;
-    op.ProcessTupleColumns(buf.View());
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        op.ProcessWatermark(wm);
-        last_wm = wm;
-        drain();
-      }
-    }
-  }
-  op.ProcessWatermark(final_wm);
-  drain();
-  return out;
+  return ReplayToFinalResults(op, tuples, final_wm, wm_every, wm_lag,
+                              std::max<size_t>(batch_size, 1));
 }
 
 /// Checkpointed twin of RunToFinalResults: runs a fresh operator from
@@ -171,27 +226,21 @@ inline bool RunToFinalResultsCheckpointed(
       (*out)[{r.window_id, r.agg_id, r.start, r.end}] = r.value;
     }
   };
-  uint64_t seq = 0;
-  Time max_ts = kNoTime;
-  Time last_wm = kNoTime;
+  ReplayCursor cur(wm_every, wm_lag);
   const size_t n = tuples.size();
   checkpoint_at = std::min(checkpoint_at, n);
-  for (size_t i = 0; i < n; ++i) {
-    if (i == checkpoint_at) {
-      // Snapshot, tear down, restore onto a fresh instance. The harness
-      // locals (seq, max_ts, last_wm) survive on this side; everything the
-      // operator needs must survive through the snapshot bytes.
+  while (cur.next() < n) {
+    if (cur.next() == checkpoint_at) {
+      // Snapshot, tear down, restore onto a fresh instance. The cursor
+      // resumes from the metadata that went through the container; the
+      // operator's own state must survive through the snapshot bytes.
       if (!op->SupportsSnapshot()) {
         *error = "operator does not support snapshots";
         return false;
       }
       state::Writer w;
       op->SerializeState(w);
-      state::CheckpointMetadata meta;
-      meta.source_offset = i;
-      meta.next_seq = seq;
-      meta.max_ts = max_ts;
-      meta.last_wm = last_wm;
+      const state::CheckpointMetadata meta = cur.Barrier();
       const std::vector<uint8_t> blob =
           state::BuildSnapshot(meta, op->Name(), w.Take());
       op.reset();
@@ -202,10 +251,12 @@ inline bool RunToFinalResultsCheckpointed(
         *error = "snapshot container failed validation";
         return false;
       }
-      if (meta2.source_offset != i || meta2.next_seq != seq) {
+      if (meta2.source_offset != meta.source_offset ||
+          meta2.next_seq != meta.next_seq) {
         *error = "snapshot metadata did not round-trip";
         return false;
       }
+      cur.Resume(meta2);
       op = factory();
       state::Reader r(st);
       op->DeserializeState(r);
@@ -216,17 +267,10 @@ inline bool RunToFinalResultsCheckpointed(
         return false;
       }
     }
-    Tuple t = tuples[i];
-    t.seq = seq++;
-    op->ProcessTuple(t);
-    max_ts = std::max(max_ts, t.ts);
-    if (wm_every > 0 && seq % static_cast<uint64_t>(wm_every) == 0) {
-      const Time wm = max_ts - wm_lag;
-      if (wm > last_wm || last_wm == kNoTime) {
-        op->ProcessWatermark(wm);
-        last_wm = wm;
-        drain();
-      }
+    op->ProcessTuple(cur.Admit(tuples));
+    if (const std::optional<Time> wm = cur.DueWatermark()) {
+      op->ProcessWatermark(*wm);
+      drain();
     }
   }
   op->ProcessWatermark(final_wm);

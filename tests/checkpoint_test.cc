@@ -421,9 +421,9 @@ TEST(CheckpointPipeline, RestoreResumesWithoutLossOrDuplication) {
   // default retention policy would have pruned.
   CheckpointCoordinator coord(
       {.directory = dir, .prefix = "full", .retain = 0});
-  const CheckpointedPipelineReport full =
+  const PipelineReport full =
       RunCheckpointedPipeline(full_src, *full_op, kTuples, popts, coord);
-  EXPECT_EQ(full.report.tuples, kTuples);
+  EXPECT_EQ(full.tuples, kTuples);
   ASSERT_EQ(full.checkpoints, kTuples / popts.watermark_every);
   ASSERT_TRUE(fs::exists(full.last_checkpoint));
 
@@ -457,10 +457,10 @@ TEST(CheckpointPipeline, RestoreResumesWithoutLossOrDuplication) {
   ResumedPipeline resumed =
       RestorePipeline(dir + "/full-0.snap", PipelineFactory(), resume_src,
                       kTuples, popts, &coord2);
-  ASSERT_TRUE(resumed.ok) << resumed.error;
-  EXPECT_EQ(resumed.report.report.tuples, kTuples - popts.watermark_every);
-  EXPECT_EQ(head_results + resumed.report.report.results,
-            full.report.results);
+  ASSERT_TRUE(resumed.report.ok) << resumed.report.error;
+  EXPECT_EQ(resumed.report.tuples, kTuples - popts.watermark_every);
+  EXPECT_EQ(head_results + resumed.report.results,
+            full.results);
   // The resumed run re-takes every barrier after the restored one, and the
   // barrier index keeps counting from where the snapshot left off.
   EXPECT_EQ(resumed.report.checkpoints, full.checkpoints - 1);

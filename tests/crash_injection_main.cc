@@ -276,11 +276,11 @@ int Run(const Args& a) {
 
   if (!a.resume) {
     auto op = factory();
-    const CheckpointedPipelineReport rep =
+    const PipelineReport rep =
         RunCheckpointedPipeline(src, *op, a.tuples, popts, coord, sink);
     std::printf("run: tuples=%llu results=%llu checkpoints=%llu\n",
-                static_cast<unsigned long long>(rep.report.tuples),
-                static_cast<unsigned long long>(rep.report.results),
+                static_cast<unsigned long long>(rep.tuples),
+                static_cast<unsigned long long>(rep.results),
                 static_cast<unsigned long long>(rep.checkpoints));
     return 0;
   }
@@ -292,14 +292,14 @@ int Run(const Args& a) {
   }
   const ResumedPipeline resumed =
       RestorePipeline(snap, factory, src, a.tuples, popts, &coord, sink);
-  if (!resumed.ok) {
-    std::fprintf(stderr, "restore failed: %s\n", resumed.error.c_str());
+  if (!resumed.report.ok) {
+    std::fprintf(stderr, "restore failed: %s\n", resumed.report.error.c_str());
     return 1;
   }
   std::printf("resumed from %s: tuples=%llu results=%llu checkpoints=%llu\n",
               snap.c_str(),
-              static_cast<unsigned long long>(resumed.report.report.tuples),
-              static_cast<unsigned long long>(resumed.report.report.results),
+              static_cast<unsigned long long>(resumed.report.tuples),
+              static_cast<unsigned long long>(resumed.report.results),
               static_cast<unsigned long long>(resumed.report.checkpoints));
   return 0;
 }

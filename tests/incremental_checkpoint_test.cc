@@ -909,8 +909,8 @@ TEST(ParallelCheckpoint, RunPipelineParallelPersistsAndShutsDownCleanly) {
   PipelineOptions popts;
   popts.watermark_every = 512;
   popts.watermark_delay = 10;
-  const ParallelPipelineReport rep =
-      RunPipelineParallel(src, exec, 4000, popts, nullptr, &coord);
+  const PipelineReport rep =
+      RunPipelineParallel(src, exec, 4000, popts, &coord);
   ASSERT_TRUE(rep.ok) << rep.error;
   EXPECT_GT(rep.checkpoints, 0u);
   // RunPipelineParallel flushed the coordinator after joining the workers:

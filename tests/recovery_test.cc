@@ -126,7 +126,7 @@ TEST(CheckpointRetention, KeepsOnlyNewestFiles) {
   popts.watermark_every = 64;
   popts.watermark_delay = 20;
   CheckpointCoordinator coord({.directory = dir, .prefix = "r", .retain = 2});
-  const CheckpointedPipelineReport rep =
+  const PipelineReport rep =
       RunCheckpointedPipeline(src, *op, 512, popts, coord);
   ASSERT_EQ(rep.checkpoints, 8u);
   for (int i = 0; i < 6; ++i) {
@@ -257,14 +257,14 @@ TEST(RecoverNewestValid, RecoverPipelineResumesPastDamage) {
   popts.watermark_delay = 20;
   CheckpointCoordinator coord(
       {.directory = setup.dir, .prefix = "resumed", .retain = 0});
-  RecoveredPipeline rec =
+  ResumedPipeline rec =
       RecoverPipeline(setup.dir, "ckpt", SlicingFactory(), src, 512, popts,
                       &coord);
-  ASSERT_TRUE(rec.ok) << rec.error;
+  ASSERT_TRUE(rec.report.ok) << rec.report.error;
   EXPECT_TRUE(rec.fell_back);
   EXPECT_EQ(rec.path_used, setup.snaps[1]);
   // Snapshot 6 covers 7 barriers' worth of tuples (offset 448): 64 remain.
-  EXPECT_EQ(rec.report.report.tuples, 512u - 448u);
+  EXPECT_EQ(rec.report.tuples, 512u - 448u);
 }
 
 // ---------------------------------------------------------------------------
@@ -400,11 +400,11 @@ TEST(RunPipelineParallel, CleanRunReportsOk) {
   PipelineOptions popts;
   popts.watermark_every = 128;
   popts.watermark_delay = 20;
-  const ParallelPipelineReport rep =
+  const PipelineReport rep =
       RunPipelineParallel(src, exec, 1000, popts);
   EXPECT_TRUE(rep.ok) << rep.error;
-  EXPECT_EQ(rep.report.tuples, 1000u);
-  EXPECT_GT(rep.report.results, 0u);
+  EXPECT_EQ(rep.tuples, 1000u);
+  EXPECT_GT(rep.results, 0u);
 }
 
 TEST(RunPipelineParallel, ThrowingSourceStillJoinsWorkers) {
@@ -412,11 +412,11 @@ TEST(RunPipelineParallel, ThrowingSourceStillJoinsWorkers) {
   ParallelExecutor exec(3, ParallelFactory());
   PipelineOptions popts;
   popts.watermark_every = 128;
-  const ParallelPipelineReport rep =
+  const PipelineReport rep =
       RunPipelineParallel(src, exec, 1000, popts);
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.error.find("source failed"), std::string::npos) << rep.error;
-  EXPECT_EQ(rep.report.tuples, 300u);
+  EXPECT_EQ(rep.tuples, 300u);
   // The workers were joined: the executor can be destroyed safely and the
   // tuples pushed before the failure were fully processed.
   EXPECT_GT(exec.TotalResults(), 0u);
@@ -427,14 +427,11 @@ TEST(RunPipelineParallel, BadRestoreSurfacesStatusWithoutStarting) {
   ParallelExecutor exec(3, ParallelFactory());
   PipelineOptions popts;
   const std::vector<uint8_t> garbage = {1, 2, 3};
-  const ParallelPipelineReport rep =
-      RunPipelineParallel(src, exec, 100, popts, &garbage);
-  EXPECT_FALSE(rep.ok);
-  EXPECT_NE(rep.error.find("restore failed"), std::string::npos) << rep.error;
-  EXPECT_EQ(rep.report.tuples, 0u);
+  std::string err;
+  EXPECT_FALSE(exec.RestoreOperators(garbage, &err));
+  EXPECT_FALSE(err.empty());
   // No threads were started; the executor is still usable from scratch.
-  const ParallelPipelineReport again =
-      RunPipelineParallel(src, exec, 100, popts);
+  const PipelineReport again = RunPipelineParallel(src, exec, 100, popts);
   EXPECT_TRUE(again.ok) << again.error;
 }
 

@@ -1,14 +1,17 @@
 // Tests for the shared testing library itself: the stream generator's
-// determinism and disorder bound, query-spec round-tripping, and the
-// differential harness agreeing on hand-picked configurations.
+// determinism and disorder bound, query-spec round-tripping, the replay
+// cursor's resume, and the differential harness agreeing on hand-picked
+// configurations.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "testing/differential.h"
+#include "testing/harness.h"
 #include "testing/oracle.h"
 #include "testing/query_spec.h"
 #include "testing/stream_gen.h"
@@ -21,6 +24,7 @@ using testing::DifferentialOutcome;
 using testing::GenerateStream;
 using testing::ParseWindowSpecs;
 using testing::RandomConfig;
+using testing::ReplayCursor;
 using testing::RunDifferential;
 using testing::StreamSpec;
 using testing::WindowSpec;
@@ -124,6 +128,71 @@ DifferentialConfig HandConfig(const std::string& queries,
   cfg.stream.seed = seed;
   cfg.stream.num_tuples = n;
   return cfg;
+}
+
+// A run stopped at any barrier and continued from a cursor rebuilt from
+// that barrier's metadata sends the same watermarks after the same tuples
+// as the uninterrupted run. Every other block of the stream arrives below
+// max_ts, so max_ts stalls across a watermark point right after each
+// barrier and the monotone filter must fire there: the resume has to carry
+// last_wm, not only the offset, seq and max_ts.
+TEST(ReplayCursor, ResumesFromEveryBarrier) {
+  constexpr int kWmEvery = 4;
+  constexpr Time kLag = 5;
+  std::vector<Tuple> stream;
+  Time ts = 0;
+  for (int block = 0; block < 6; ++block) {
+    for (int k = 0; k < kWmEvery; ++k) {
+      stream.push_back(
+          testing::T(block % 2 == 0 ? (ts += 10) : ts - 40 + k, 1.0));
+    }
+  }
+  stream.push_back(testing::T(ts + 1, 1.0));  // tail past the last point
+
+  using Events = std::vector<std::pair<size_t, Time>>;  // (index, watermark)
+  // Replays from the cursor's position to the end in blocks of up to
+  // `batch`, recording each watermark with the number of tuples before it
+  // and, when `barriers` is set, the barrier metadata taken after it.
+  auto replay = [&](ReplayCursor cur, size_t batch, Events* events,
+                    std::vector<state::CheckpointMetadata>* barriers) {
+    while (cur.next() < stream.size()) {
+      for (size_t k = cur.BlockLimit(stream.size(), batch); k > 0; --k) {
+        const size_t index = cur.next();
+        EXPECT_EQ(cur.Admit(stream).seq, index);
+      }
+      if (const std::optional<Time> wm = cur.DueWatermark()) {
+        events->emplace_back(cur.next(), *wm);
+        if (barriers != nullptr) barriers->push_back(cur.Barrier());
+      }
+    }
+  };
+
+  Events full;
+  std::vector<state::CheckpointMetadata> barriers;
+  replay(ReplayCursor(kWmEvery, kLag), 1, &full, &barriers);
+  // Six watermark points; the three after a late block repeat the previous
+  // watermark and are filtered.
+  ASSERT_EQ(full, (Events{{4, 35}, {12, 75}, {20, 115}}));
+  ASSERT_EQ(barriers.size(), full.size());
+  EXPECT_EQ(barriers[0].source_offset, 4u);
+  EXPECT_EQ(barriers[0].next_seq, 4u);
+  EXPECT_EQ(barriers[0].max_ts, 40);
+  EXPECT_EQ(barriers[0].last_wm, 35);
+
+  for (size_t b = 0; b < barriers.size(); ++b) {
+    ReplayCursor resumed(kWmEvery, kLag);
+    resumed.Resume(barriers[b]);
+    const state::CheckpointMetadata again = resumed.Barrier();
+    EXPECT_EQ(again.source_offset, barriers[b].source_offset);
+    EXPECT_EQ(again.next_seq, barriers[b].next_seq);
+    EXPECT_EQ(again.max_ts, barriers[b].max_ts);
+    EXPECT_EQ(again.last_wm, barriers[b].last_wm);
+    // Continue in blocks of 3: BlockLimit must still stop every block at
+    // the next watermark point.
+    Events events(full.begin(), full.begin() + static_cast<long>(b) + 1);
+    replay(resumed, 3, &events, nullptr);
+    EXPECT_EQ(events, full) << "resumed from barrier " << b;
+  }
 }
 
 TEST(Differential, AgreesOnInOrderMixedQueries) {
