@@ -14,6 +14,10 @@ AggregateStore::AggregateStore(StoreMode mode,
     trees_.reserve(fns_.size());
     for (const AggregateFunctionPtr& fn : fns_) trees_.emplace_back(fn);
   }
+  for (const AggregateFunctionPtr& fn : fns_) {
+    blockable_.push_back(mode_ == StoreMode::kLazy &&
+                         fn->Class() != AggClass::kHolistic);
+  }
 }
 
 size_t AggregateStore::FindByStart(Time ts) const {
@@ -61,6 +65,7 @@ Slice& AggregateStore::Append(Time start, Time end) {
   slices_.push_back(MakeSlice(start, end));
   ++slices_created_;
   for (FlatFat& tree : trees_) tree.Append(Partial{});
+  InvalidateBlock(slices_.size() - 1);
   return slices_.back();
 }
 
@@ -74,6 +79,7 @@ Slice& AggregateStore::InsertAt(size_t idx, Time start, Time end) {
       trees_[a].InsertLeafAt(idx, Partial{});
     }
   }
+  InvalidateBlocksFrom(idx);
   return slices_[idx];
 }
 
@@ -88,6 +94,7 @@ void AggregateStore::MergeWithNext(size_t i) {
       trees_[a].UpdateLeaf(i, slices_[i].agg(a));
     }
   }
+  InvalidateBlocksFrom(i);
 }
 
 void AggregateStore::SplitAt(size_t i, Time t) {
@@ -102,18 +109,62 @@ void AggregateStore::SplitAt(size_t i, Time t) {
       trees_[a].InsertLeafAt(i + 1, slices_[i + 1].agg(a));
     }
   }
+  InvalidateBlocksFrom(i);
 }
 
 void AggregateStore::OnSliceAggUpdated(size_t i) {
-  if (mode_ != StoreMode::kEager) return;
+  if (mode_ != StoreMode::kEager) {
+    InvalidateBlock(i);
+    return;
+  }
   for (size_t a = 0; a < trees_.size(); ++a) {
     trees_[a].UpdateLeaf(i, slices_[i].agg(a));
   }
 }
 
 void AggregateStore::OnStructureChanged() {
+  blocks_.clear();
   if (mode_ != StoreMode::kEager) return;
   RebuildTrees();
+}
+
+void AggregateStore::InvalidateBlock(size_t i) {
+  const size_t first = FirstBlockStart();
+  if (i < first) return;
+  const size_t k = (i - first) / kBlockSlices;
+  if (k < blocks_.size()) blocks_[k].valid = false;
+}
+
+void AggregateStore::InvalidateBlocksFrom(size_t i) {
+  const size_t first = FirstBlockStart();
+  const size_t k = i < first ? 0 : (i - first) / kBlockSlices;
+  for (size_t b = k; b < blocks_.size(); ++b) blocks_[b].valid = false;
+}
+
+const Partial& AggregateStore::BlockPartial(size_t agg, size_t k) const {
+  if (k >= blocks_.size()) blocks_.resize(k + 1);
+  Block& b = blocks_[k];
+  if (!b.valid) {
+    const size_t lo = FirstBlockStart() + k * kBlockSlices;
+    assert(lo + kBlockSlices <= slices_.size());
+    b.aggs.assign(fns_.size(), Partial{});
+    for (size_t a = 0; a < fns_.size(); ++a) {
+      if (!blockable_[a]) continue;
+      const AggregateFunction& fn = *fns_[a];
+      auto it = slices_.begin() + static_cast<ptrdiff_t>(lo);
+      for (size_t s = 0; s < kBlockSlices; ++s, ++it) {
+        fn.Combine(b.aggs[a], it->agg(a));
+      }
+    }
+    b.valid = true;
+  }
+  return b.aggs[agg];
+}
+
+size_t AggregateStore::CachedBlocks() const {
+  size_t n = 0;
+  for (const Block& b : blocks_) n += b.valid ? 1 : 0;
+  return n;
 }
 
 void AggregateStore::EvictBefore(Time t) {
@@ -126,6 +177,16 @@ void AggregateStore::EvictBefore(Time t) {
   if (k == 0) return;
   slices_.erase(slices_.begin(), slices_.begin() + static_cast<ptrdiff_t>(k));
   for (FlatFat& tree : trees_) tree.PopFront(k);
+  // Blocks starting before the new front lost slices; the rest keep their
+  // absolute alignment and move down by whole blocks.
+  const size_t first = FirstBlockStart();
+  if (k > first && !blocks_.empty()) {
+    const size_t dead = std::min(
+        (k - first + kBlockSlices - 1) / kBlockSlices, blocks_.size());
+    blocks_.erase(blocks_.begin(),
+                  blocks_.begin() + static_cast<ptrdiff_t>(dead));
+  }
+  block_phase_ = (block_phase_ + k) % kBlockSlices;
 }
 
 Partial AggregateStore::QuerySlices(size_t agg, size_t i, size_t j) const {
@@ -134,7 +195,25 @@ Partial AggregateStore::QuerySlices(size_t agg, size_t i, size_t j) const {
   if (mode_ == StoreMode::kEager) return trees_[agg].Query(i, j);
   Partial acc;
   const AggregateFunction& fn = *fns_[agg];
-  for (size_t k = i; k < j; ++k) fn.Combine(acc, slices_[k].agg(agg));
+  // Iterates rather than indexes: deque indexing divides on every access.
+  auto fold = [&](size_t from, size_t to) {
+    auto it = slices_.begin() + static_cast<ptrdiff_t>(from);
+    for (size_t k = from; k < to; ++k, ++it) fn.Combine(acc, it->agg(agg));
+  };
+  size_t k = i;
+  if (j - i >= kBlockSlices && blockable_[agg]) {
+    // Blocks [kb, ke) lie wholly inside [i, j).
+    const size_t first = FirstBlockStart();
+    const size_t kb =
+        i <= first ? 0 : (i - first + kBlockSlices - 1) / kBlockSlices;
+    const size_t ke = j < first ? 0 : (j - first) / kBlockSlices;
+    if (kb < ke) {
+      fold(i, first + kb * kBlockSlices);
+      for (size_t b = kb; b < ke; ++b) fn.Combine(acc, BlockPartial(agg, b));
+      k = first + ke * kBlockSlices;
+    }
+  }
+  fold(k, j);
   return acc;
 }
 
@@ -176,6 +255,9 @@ size_t AggregateStore::MemoryBytes() const {
   size_t bytes = 0;
   for (const Slice& s : slices_) bytes += s.MemoryBytes();
   for (const FlatFat& tree : trees_) bytes += tree.MemoryBytes();
+  size_t blocked_aggs = 0;
+  for (const char b : blockable_) blocked_aggs += b ? 1 : 0;
+  bytes += CachedBlocks() * blocked_aggs * MemoryModel::kPartialBytes;
   return bytes;
 }
 
@@ -184,6 +266,7 @@ void AggregateStore::Serialize(state::Writer& w) const {
   w.Bool(track_last_ts_);
   w.U64(total_tuples_);
   w.U64(slices_created_);
+  w.U64(block_phase_);
   w.U64(slices_.size());
   for (const Slice& s : slices_) s.Serialize(w);
   w.U64(trees_.size());
@@ -195,11 +278,14 @@ void AggregateStore::Deserialize(state::Reader& r) {
   track_last_ts_ = r.Bool();
   total_tuples_ = r.U64();
   slices_created_ = r.U64();
+  const uint64_t phase = r.U64();
   const uint64_t ns = r.U64();
-  if (ns > r.remaining()) {
+  if (phase >= kBlockSlices || ns > r.remaining()) {
     r.Fail();
     return;
   }
+  block_phase_ = static_cast<size_t>(phase);
+  blocks_.clear();
   slices_.clear();
   free_slices_.clear();
   for (uint64_t i = 0; i < ns && r.ok(); ++i) {
@@ -228,6 +314,7 @@ void AggregateStore::SerializeDelta(state::Writer& w) const {
   w.Bool(track_last_ts_);
   w.U64(total_tuples_);
   w.U64(slices_created_);
+  w.U64(block_phase_);
   w.U64(slices_.size());
   for (const Slice& s : slices_) {
     if (s.snapshot_dirty()) {
@@ -251,8 +338,9 @@ void AggregateStore::ApplyDelta(state::Reader& r) {
   const bool track = r.Bool();
   const uint64_t total = r.U64();
   const uint64_t created = r.U64();
+  const uint64_t phase = r.U64();
   const uint64_t ns = r.U64();
-  if (!r.ok() || ns > r.remaining()) {
+  if (!r.ok() || phase >= kBlockSlices || ns > r.remaining()) {
     r.Fail();
     return;
   }
@@ -307,6 +395,8 @@ void AggregateStore::ApplyDelta(state::Reader& r) {
   track_last_ts_ = track;
   total_tuples_ = total;
   slices_created_ = created;
+  block_phase_ = static_cast<size_t>(phase);
+  blocks_.clear();
   slices_ = std::move(next);
   free_slices_.clear();
   if (mode_ == StoreMode::kEager) {

@@ -15,7 +15,11 @@ namespace scotty {
 /// Lazy vs eager aggregate store (paper Section 3.4): the lazy variant keeps
 /// only slices and combines them on demand; the eager variant additionally
 /// maintains a FlatFAT aggregate tree over the slice partials, trading
-/// per-update tree maintenance for O(log |slices|) window queries.
+/// per-update tree maintenance for O(log |slices|) window queries. The lazy
+/// variant caches the combine of each aligned run of kBlockSlices slices the
+/// first time a query spans it, so a window over n slices folds at most
+/// 2 * kBlockSlices slices plus n / kBlockSlices cached blocks while ingest
+/// only marks one block stale.
 enum class StoreMode { kLazy, kEager };
 
 /// The shared slice container of the slicing operator (paper Figure 7): the
@@ -28,6 +32,11 @@ enum class StoreMode { kLazy, kEager };
 class AggregateStore : public StreamStateView {
  public:
   static constexpr size_t kNpos = static_cast<size_t>(-1);
+
+  /// Slices per cached block of the lazy query index. Blocks are aligned on
+  /// the absolute slice position (slices ever evicted + index), so the
+  /// grouping of a fold depends only on the slices and the eviction phase.
+  static constexpr size_t kBlockSlices = 64;
 
   AggregateStore(StoreMode mode, std::vector<AggregateFunctionPtr> fns);
 
@@ -79,7 +88,10 @@ class AggregateStore : public StreamStateView {
   void EvictBefore(Time t);
 
   /// Ordered combine of the partials of slices [i, j) for aggregation
-  /// `agg`. Eager mode answers from the tree in O(log n).
+  /// `agg`. Eager mode answers from the tree in O(log n); lazy mode folds
+  /// the slices before the first block boundary, the cached partials of the
+  /// blocks inside [i, j) (building any that are stale) and the slices after
+  /// the last boundary, left to right.
   Partial QuerySlices(size_t agg, size_t i, size_t j) const;
 
   /// Ordered combine over all slices intersecting the window [start, end).
@@ -100,6 +112,10 @@ class AggregateStore : public StreamStateView {
   /// Retired slices currently parked on the freelist (observability/tests).
   size_t FreeListSize() const { return free_slices_.size(); }
 
+  /// Lazy-mode blocks whose cached partials are currently valid
+  /// (observability/tests: nonzero once a query took the blocked path).
+  size_t CachedBlocks() const;
+
   /// Lifetime count of slices ever created (appends, inserts, splits);
   /// eviction does not decrease it. Drives the slice-minimality assertions
   /// and the Figure 8 slice-count comparison (Pairs vs Cutty vs general).
@@ -114,9 +130,12 @@ class AggregateStore : public StreamStateView {
   void EnableLastTsTracking() { track_last_ts_ = true; }
   bool TracksLastTs() const { return track_last_ts_; }
 
-  /// Snapshot support: serializes slices, eager trees, and counters. The
-  /// freelist is a pure performance cache and is skipped; mode/functions are
-  /// construction parameters re-established by the restoring operator.
+  /// Snapshot support: serializes slices, eager trees, counters, and the
+  /// block phase (slices evicted mod kBlockSlices), so a restored lazy store
+  /// groups its folds exactly as the uninterrupted one. The freelist and
+  /// the block cache are pure performance caches and are skipped;
+  /// mode/functions are construction parameters re-established by the
+  /// restoring operator.
   void Serialize(state::Writer& w) const;
   void Deserialize(state::Reader& r);
 
@@ -150,6 +169,29 @@ class AggregateStore : public StreamStateView {
   /// Parks a dead slice on the freelist (bounded; drops when full).
   void Retire(Slice&& s);
 
+  /// Lazy-mode block index. blocks_[k] caches the ordered combine of slices
+  /// [FirstBlockStart() + k * kBlockSlices, + kBlockSlices), one partial per
+  /// aggregation; holistic aggregations get none (their runs would copy
+  /// every value of the block). Blocks are built when a query first spans
+  /// them and marked stale by the same mutators that keep the eager trees
+  /// current.
+  struct Block {
+    bool valid = false;
+    std::vector<Partial> aggs;
+  };
+
+  /// Index of the first slice that starts a block.
+  size_t FirstBlockStart() const {
+    return (kBlockSlices - block_phase_) % kBlockSlices;
+  }
+  /// Cached partial of block k for `agg`, built on first use.
+  const Partial& BlockPartial(size_t agg, size_t k) const;
+  /// Marks stale the block holding slice i.
+  void InvalidateBlock(size_t i);
+  /// Marks stale every block holding slice i or a later one (the slices
+  /// behind an insert or removal change position).
+  void InvalidateBlocksFrom(size_t i);
+
   /// Freelist bound: enough to absorb a full eviction sweep of a typical
   /// multi-query slice population without hoarding unbounded memory.
   static constexpr size_t kMaxFreeSlices = 64;
@@ -162,6 +204,11 @@ class AggregateStore : public StreamStateView {
   std::vector<FlatFat> trees_;  // eager mode: one per aggregation
   uint64_t total_tuples_ = 0;
   uint64_t slices_created_ = 0;
+  std::vector<char> blockable_;  // per aggregation: false for holistic ones
+  size_t block_phase_ = 0;  // slices ever evicted, mod kBlockSlices
+  // Lazy mode: a cache filled by const queries. The store, like the rest of
+  // an operator, is used by one thread at a time.
+  mutable std::vector<Block> blocks_;
 };
 
 }  // namespace scotty

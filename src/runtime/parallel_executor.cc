@@ -23,6 +23,13 @@ namespace {
 constexpr uint32_t kParallelSnapshotTag = 0x50534E50;  // "PSNP"
 constexpr uint8_t kParallelSnapshotVersion = 2;
 
+/// Late-update emissions among drained results.
+uint64_t CountUpdates(const std::vector<WindowResult>& results) {
+  uint64_t n = 0;
+  for (const WindowResult& r : results) n += r.is_update ? 1 : 0;
+  return n;
+}
+
 }  // namespace
 
 SpscQueue::SpscQueue(size_t capacity)
@@ -532,6 +539,7 @@ void ParallelExecutor::WorkerLoop(size_t i) {
   TupleBatchSoA buf(batch);
   std::vector<WindowResult> drained;
   uint64_t results = 0;
+  uint64_t updates = 0;
   SpscQueue::Control c;
   while (true) {
     if (opts_.worker_tick_hook) opts_.worker_tick_hook(i);
@@ -552,6 +560,7 @@ void ParallelExecutor::WorkerLoop(size_t i) {
         drained.clear();
         op.TakeResultsInto(&drained);
         results += drained.size();
+        updates += CountUpdates(drained);
         if (opts_.result_sink) opts_.result_sink(drained);
         break;
       case SpscQueue::Control::Kind::kSnapshot: {
@@ -568,8 +577,10 @@ void ParallelExecutor::WorkerLoop(size_t i) {
         drained.clear();
         op.TakeResultsInto(&drained);
         results += drained.size();
+        updates += CountUpdates(drained);
         if (opts_.result_sink) opts_.result_sink(drained);
         total_results_.fetch_add(results);
+        total_updates_.fetch_add(updates);
         return;
     }
   }
@@ -597,6 +608,7 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
   };
   std::vector<WindowResult> drained;
   uint64_t results = 0;
+  uint64_t updates = 0;
   uint64_t my_barrier = 0;  // watermarks this worker has arrived at
   SpscQueue::Control c;
   while (true) {
@@ -631,6 +643,7 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
             shared_op_->TakeResultsInto(&drained);
           }
           results += drained.size();
+          updates += CountUpdates(drained);
           shared_results_.insert(shared_results_.end(),
                                  std::make_move_iterator(drained.begin()),
                                  std::make_move_iterator(drained.end()));
@@ -652,6 +665,7 @@ void ParallelExecutor::SharedWorkerLoop(size_t i) {
         std::lock_guard<std::mutex> lk(merge_mu_);
         local.DrainAll(merge);
         total_results_.fetch_add(results);
+        total_updates_.fetch_add(updates);
         return;
       }
     }

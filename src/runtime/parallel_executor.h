@@ -242,6 +242,8 @@ class ParallelExecutor {
                         std::string* error = nullptr);
 
   uint64_t TotalResults() const { return total_results_.load(); }
+  /// Of TotalResults(), the late-update emissions (is_update).
+  uint64_t TotalUpdates() const { return total_updates_.load(); }
   /// Max data-ring fill fraction across all worker queues (see
   /// SpscQueue::ApproxOccupancy) — the admission signal a
   /// BackpressureController samples between pushes.
@@ -293,6 +295,7 @@ class ParallelExecutor {
   size_t rr_worker_ = 0;                // shared-mode chunk routing cursor
   std::vector<std::thread> workers_;
   std::atomic<uint64_t> total_results_{0};
+  std::atomic<uint64_t> total_updates_{0};
   bool started_ = false;
   bool finished_ = false;
 

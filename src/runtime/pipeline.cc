@@ -67,6 +67,7 @@ PipelineReport RunPipelineParallel(TupleSource& src, ParallelExecutor& exec,
     out.health = coord->HealthReport();
   }
   out.results = exec.TotalResults();
+  out.updates = exec.TotalUpdates();
   const auto end = std::chrono::steady_clock::now();
   out.seconds = std::chrono::duration<double>(end - start).count();
   return out;

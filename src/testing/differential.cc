@@ -92,6 +92,41 @@ std::string Describe(const ResultKey& key) {
   return os.str();
 }
 
+/// First difference between a replay's (merged) watermark sequence and the
+/// plain replay's.
+std::string DescribeWatermarkDiff(const WatermarkLog& got,
+                                  const WatermarkLog& want) {
+  size_t i = 0;
+  while (i < got.size() && i < want.size() && got[i] == want[i]) ++i;
+  std::ostringstream os;
+  auto put = [&os](const WatermarkLog& log, size_t k) {
+    if (k < log.size()) {
+      os << "wm " << log[k].wm << " after tuple " << log[k].index;
+    } else {
+      os << "none";
+    }
+  };
+  os << "watermark #" << i << " is ";
+  put(got, i);
+  os << ", the plain replay sent ";
+  put(want, i);
+  return os.str();
+}
+
+/// The config with its long window (--long-window) appended.
+DifferentialConfig WithLongWindow(const DifferentialConfig& cfg) {
+  DifferentialConfig out = cfg;
+  if (cfg.long_window == 0) return out;
+  Rng rng(cfg.stream.seed ^ 0x4C4F4E4757494E44ULL);
+  WindowSpec w;
+  w.kind = WindowSpec::Kind::kSliding;
+  w.length = 200 + static_cast<Time>(rng.NextBounded(401));
+  if (cfg.long_window > 0) w.length = cfg.long_window;
+  w.slide = 1 + static_cast<Time>(rng.NextBounded(3));
+  out.windows.push_back(w);
+  return out;
+}
+
 std::string DescribeKeyed(const KeyedResultKey& key) {
   std::ostringstream os;
   os << "(k=" << std::get<0>(key) << ", w=" << std::get<1>(key)
@@ -136,7 +171,8 @@ void CoverConfigFeatures(const DifferentialConfig& cfg, bool sorted) {
                (cfg.checkpoint != 0 ? 1u : 0u) | (cfg.crash != 0 ? 2u : 0u) |
                    (cfg.rescale != 0 ? 4u : 0u) |
                    (cfg.shared != 0 ? 8u : 0u) |
-                   (cfg.overload != 0 ? 16u : 0u));
+                   (cfg.overload != 0 ? 16u : 0u) |
+                   (cfg.long_window != 0 ? 32u : 0u));
   CoverFeature(FeatureDomain::kDimension, 2,
                Log2Bucket(static_cast<uint64_t>(s.num_tuples)));
   simd::KernelMode km = simd::KernelMode::kAuto;
@@ -156,10 +192,17 @@ void CoverTechniqueRun(const std::string& tech, const DifferentialConfig& cfg,
   }
   if (slicing == nullptr) return;
   const OperatorStats& st = slicing->stats();
+  size_t cached_blocks = 0;
   if (slicing->time_store() != nullptr) {
     CoverFeature(FeatureDomain::kSliceCount, t,
                  Log2Bucket(slicing->time_store()->SlicesCreated()));
+    cached_blocks += slicing->time_store()->CachedBlocks();
   }
+  if (slicing->count_lane() != nullptr) {
+    cached_blocks += slicing->count_lane()->store().CachedBlocks();
+  }
+  // Blocked query taken: lazy emission folded cached slice blocks.
+  if (cached_blocks > 0) CoverFeature(FeatureDomain::kSliceCount, t ^ 1, 1);
   CoverFeature(FeatureDomain::kSliceChurn, t,
                Log2Bucket(st.slice_merges + 1) * 64 +
                    Log2Bucket(st.slice_splits + 1));
@@ -690,6 +733,7 @@ std::string DifferentialConfig::ToFlags() const {
   flag("rescale", rescale, 0);
   flag("shared-queries", shared, 0);
   flag("overload", overload, 0);
+  flag("long-window", long_window, 0);
   flag("kernel", kernel, std::string("auto"));
   return os.str();
 }
@@ -811,6 +855,8 @@ bool ParseConfigLine(const std::string& line, DifferentialConfig* out,
       cfg.shared = static_cast<int>(i);
     } else if (key == "overload" && parse_i64(&i) && i >= -1) {
       cfg.overload = static_cast<int>(i);
+    } else if (key == "long-window" && parse_i64(&i) && i >= -1) {
+      cfg.long_window = static_cast<int>(i);
     } else if (key == "kernel") {
       simd::KernelMode km;
       if (!simd::ParseMode(val, &km)) return fail("bad --kernel=" + val);
@@ -829,7 +875,8 @@ bool ParseConfigLine(const std::string& line, DifferentialConfig* out,
   return true;
 }
 
-DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
+DifferentialOutcome RunDifferential(const DifferentialConfig& config) {
+  const DifferentialConfig cfg = WithLongWindow(config);
   DifferentialOutcome outcome;
   const std::vector<Tuple> stream = GenerateStream(cfg.stream);
   if (stream.empty() || cfg.windows.empty() || cfg.aggs.empty()) {
@@ -876,6 +923,25 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
   };
   std::vector<Run> runs;
 
+  // The plain lazy replay's watermark sequence. Every batched, checkpointed
+  // and crash-recovered replay must deliver the same one: equal final
+  // results alone miss a cadence that skips or repeats watermarks.
+  WatermarkLog plain_wms;
+  auto check_wms = [&](const std::string& name, const WatermarkLog& log) {
+    WatermarkLog merged;
+    if (!MergeWatermarkLog(log, &merged)) {
+      outcome.ok = false;
+      outcome.detail = name +
+                       ": resumed without the watermark last sent before "
+                       "its barrier";
+      return false;
+    }
+    if (merged == plain_wms) return true;
+    outcome.ok = false;
+    outcome.detail = name + ": " + DescribeWatermarkDiff(merged, plain_wms);
+    return false;
+  };
+
   // Checkpointed twins: each snapshot-capable technique is re-run with a
   // snapshot / teardown / restore cycle at tuple index `ckpt_at` and must
   // reproduce its own uninterrupted results EXACTLY — restore is
@@ -895,12 +961,14 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
     if (cfg.checkpoint == 0) return true;
     std::map<ResultKey, Value> got;
     std::string err;
+    WatermarkLog wms;
     if (!RunToFinalResultsCheckpointed(factory, stream, final_wm, cfg.wm_every,
-                                       wm_lag, ckpt_at, &got, &err)) {
+                                       wm_lag, ckpt_at, &got, &err, &wms)) {
       outcome.ok = false;
       outcome.detail = name + "-checkpointed: " + err;
       return false;
     }
+    if (!check_wms(name + "-checkpointed", wms)) return false;
     for (const auto& [key, expected_v] : expected) {
       ++outcome.comparisons;
       const auto it = got.find(key);
@@ -961,6 +1029,7 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
       return false;
     }
     CoverCrashRun(name, crash_plan, crash_stats, stream.size());
+    if (!check_wms(name + "-crashed", crash_stats.wm_log)) return false;
     for (const auto& [key, expected_v] : expected) {
       ++outcome.comparisons;
       const auto it = got.find(key);
@@ -1079,7 +1148,8 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
 
   auto lazy = MakeSlicing(cfg, StoreMode::kLazy, false);
   runs.push_back({"slicing-lazy", RunToFinalResults(*lazy, stream, final_wm,
-                                                    cfg.wm_every, wm_lag)});
+                                                    cfg.wm_every, wm_lag,
+                                                    &plain_wms)});
   CoverTechniqueRun("slicing-lazy", cfg, lazy.get());
   if (lazy->stats().dropped_tuples != 0) {
     outcome.ok = false;
@@ -1137,14 +1207,20 @@ DifferentialOutcome RunDifferential(const DifferentialConfig& cfg) {
       auto batched_run = [&](const std::string& tech, StoreMode mode,
                              bool in_order) {
         auto op = MakeSlicing(cfg, mode, in_order);
+        WatermarkLog wms;
         runs.push_back({tech + suffix,
                         RunToFinalResultsColumns(*op, stream, final_wm,
-                                                 cfg.wm_every, wm_lag, bs)});
+                                                 cfg.wm_every, wm_lag, bs,
+                                                 &wms)});
         CoverTechniqueRun(tech + suffix, cfg, op.get());
+        return check_wms(tech + suffix, wms);
       };
-      batched_run("slicing-lazy", StoreMode::kLazy, false);
-      batched_run("slicing-eager", StoreMode::kEager, false);
-      if (sorted) batched_run("slicing-inorder", StoreMode::kLazy, true);
+      if (!batched_run("slicing-lazy", StoreMode::kLazy, false) ||
+          !batched_run("slicing-eager", StoreMode::kEager, false) ||
+          (sorted && !batched_run("slicing-inorder", StoreMode::kLazy, true))) {
+        simd::SetModeForTesting(simd::KernelMode::kAuto);
+        return outcome;
+      }
     }
     simd::SetModeForTesting(simd::KernelMode::kAuto);
   }

@@ -78,6 +78,12 @@ struct DifferentialConfig {
   /// timing-dependent and the oracle is valid for any of them).
   /// 0 disables the overload runs.
   int overload = 0;
+  /// Additionally append one long sliding window to the query set, so
+  /// windows span hundreds of slices and lazy emission folds the store's
+  /// cached slice blocks. -1: length 200-600 and slide 1-3, seed-derived;
+  /// N > 0: length N with a seed-derived slide. Every technique and the
+  /// oracle run it. 0 disables.
+  int long_window = 0;
   /// Kernel mode pinned (via simd::SetModeForTesting) for the batched runs:
   /// "auto", "scalar", "sse2", or "avx2", clamped to what the binary/CPU
   /// supports so reproducer lines replay anywhere. Whenever the resolved
@@ -121,7 +127,9 @@ struct DifferentialOutcome {
 /// aggregates everywhere. Aggregations whose partials are not exactly
 /// representable (stddev, geometric-mean: order-dependent floating-point
 /// merges) are compared with a small relative tolerance; everything else
-/// must match bit-for-bit.
+/// must match bit-for-bit. The batched, checkpointed and crash-recovered
+/// replays must also deliver the plain replay's watermark sequence (see
+/// MergeWatermarkLog).
 DifferentialOutcome RunDifferential(const DifferentialConfig& cfg);
 
 /// Derives a random-but-deterministic config from `seed`: 1–3 windows

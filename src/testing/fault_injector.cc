@@ -206,7 +206,9 @@ bool RunToFinalResultsCrashRecovered(
   // how queued-but-unpersisted async barriers get lost, exactly like a real
   // process death after Abandon.
   std::map<ResultKey, Value> delivered;
+  WatermarkLog* wm_log = stats != nullptr ? &stats->wm_log : nullptr;
   ReplayCursor cur(wm_every, wm_lag);
+  cur.Record(wm_log);
   const size_t n = tuples.size();
   const size_t crash_at = std::min<size_t>(
       static_cast<size_t>(plan.crash_index), n);
@@ -251,6 +253,7 @@ bool RunToFinalResultsCrashRecovered(
   // Recovery: newest valid base + its valid delta prefix wins; from scratch
   // when none validates.
   cur = ReplayCursor(wm_every, wm_lag);
+  cur.Record(wm_log);
   RecoveredOperator rec = RecoverNewestValid(scratch_dir, copts.prefix, factory);
   const bool newest_base_damaged =
       plan.fault != SnapshotFault::kNone ||
@@ -283,6 +286,7 @@ bool RunToFinalResultsCrashRecovered(
       return false;
     }
     op = factory();
+    cur.Resume(state::CheckpointMetadata{});  // the stream's start
     if (stats != nullptr) stats->recovered_from_scratch = true;
   }
 

@@ -96,6 +96,9 @@ struct CrashRunStats {
   std::string path_used;   ///< snapshot file recovery restored from
   uint64_t deltas_applied = 0;  ///< delta records replayed on the base
   bool delta_tail_rejected = false;  ///< damaged delta tail was discarded
+  /// Watermarks sent before the crash and after recovery, with the resume
+  /// point between them (a from-scratch recovery resumes at tuple 0).
+  WatermarkLog wm_log;
 };
 
 /// Crash-recovering twin of RunToFinalResults. Phase one runs a fresh

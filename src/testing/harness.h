@@ -58,6 +58,38 @@ inline std::vector<WindowResult> RunStream(WindowOperator& op,
   return op.TakeResults();
 }
 
+/// One step of a replay's watermark sequence: a watermark sent after
+/// `index` tuples were admitted, or (`resumed` set) a restart before tuple
+/// `index` from a barrier whose last watermark was `wm`.
+struct WatermarkEvent {
+  size_t index = 0;
+  Time wm = kNoTime;
+  bool resumed = false;
+
+  friend bool operator==(const WatermarkEvent&,
+                         const WatermarkEvent&) = default;
+};
+using WatermarkLog = std::vector<WatermarkEvent>;
+
+/// Folds a log into the watermark sequence downstream saw, the way a
+/// restored run's results override what was emitted after its barrier:
+/// each resume drops the watermarks sent after its index. Returns false if
+/// a resume does not restart from the watermark last sent before it.
+inline bool MergeWatermarkLog(const WatermarkLog& log, WatermarkLog* merged) {
+  merged->clear();
+  for (const WatermarkEvent& e : log) {
+    if (!e.resumed) {
+      merged->push_back(e);
+      continue;
+    }
+    while (!merged->empty() && merged->back().index > e.index) {
+      merged->pop_back();
+    }
+    if (e.wm != (merged->empty() ? kNoTime : merged->back().wm)) return false;
+  }
+  return true;
+}
+
 /// The harness's delivery cadence over a replayed tuple vector: arrival
 /// stamping, the watermark rule and barrier metadata live here once, so
 /// every replay loop (plain, columnar, checkpointed, crash-recovered,
@@ -72,6 +104,10 @@ class ReplayCursor {
   ReplayCursor(int wm_every, Time wm_lag)
       : wm_every_(wm_every > 0 ? static_cast<uint64_t>(wm_every) : 0),
         wm_lag_(wm_lag) {}
+
+  /// Appends every watermark sent and every resume to `log` from now on
+  /// (nullptr stops recording).
+  void Record(WatermarkLog* log) { log_ = log; }
 
   /// Index of the next tuple to admit.
   size_t next() const { return next_; }
@@ -105,6 +141,7 @@ class ReplayCursor {
     const Time wm = max_ts_ - wm_lag_;
     if (!Advances(wm, last_wm_)) return std::nullopt;
     last_wm_ = wm;
+    if (log_ != nullptr) log_->push_back({next_, wm, false});
     return wm;
   }
 
@@ -124,6 +161,7 @@ class ReplayCursor {
     seq_ = meta.next_seq;
     max_ts_ = meta.max_ts;
     last_wm_ = meta.last_wm;
+    if (log_ != nullptr) log_->push_back({next_, last_wm_, true});
   }
 
  private:
@@ -138,15 +176,18 @@ class ReplayCursor {
   uint64_t seq_ = 0;
   Time max_ts_ = kNoTime;
   Time last_wm_ = kNoTime;
+  WatermarkLog* log_ = nullptr;
 };
 
 /// Replays `tuples` through `op` with the ReplayCursor cadence, then a final
 /// watermark; returns the final value per window instance. `batch_size` 0
 /// delivers each tuple through ProcessTuple; otherwise tuples go through
-/// ProcessTupleColumns in blocks of up to `batch_size`.
+/// ProcessTupleColumns in blocks of up to `batch_size`. A non-null `wm_log`
+/// receives the cadence's watermark sequence.
 inline std::map<ResultKey, Value> ReplayToFinalResults(
     WindowOperator& op, const std::vector<Tuple>& tuples, Time final_wm,
-    int wm_every, Time wm_lag, size_t batch_size) {
+    int wm_every, Time wm_lag, size_t batch_size,
+    WatermarkLog* wm_log = nullptr) {
   std::map<ResultKey, Value> out;
   std::vector<WindowResult> drained;
   auto drain = [&] {
@@ -157,6 +198,7 @@ inline std::map<ResultKey, Value> ReplayToFinalResults(
     }
   };
   ReplayCursor cur(wm_every, wm_lag);
+  cur.Record(wm_log);
   TupleBatchSoA buf(batch_size);
   while (cur.next() < tuples.size()) {
     if (batch_size == 0) {
@@ -183,13 +225,11 @@ inline std::map<ResultKey, Value> ReplayToFinalResults(
 /// trigger/update/eviction machinery mid-stream instead of only at the end.
 /// With wm_lag ≥ StreamSpec::MaxLateness() no tuple is ever dropped, so the
 /// final per-instance results must equal the single-watermark run.
-inline std::map<ResultKey, Value> RunToFinalResults(WindowOperator& op,
-                                                    const std::vector<Tuple>&
-                                                        tuples,
-                                                    Time final_wm,
-                                                    int wm_every = 0,
-                                                    Time wm_lag = 0) {
-  return ReplayToFinalResults(op, tuples, final_wm, wm_every, wm_lag, 0);
+inline std::map<ResultKey, Value> RunToFinalResults(
+    WindowOperator& op, const std::vector<Tuple>& tuples, Time final_wm,
+    int wm_every = 0, Time wm_lag = 0, WatermarkLog* wm_log = nullptr) {
+  return ReplayToFinalResults(op, tuples, final_wm, wm_every, wm_lag, 0,
+                              wm_log);
 }
 
 /// Batched twin of RunToFinalResults: the identical tuple and watermark
@@ -201,9 +241,10 @@ inline std::map<ResultKey, Value> RunToFinalResults(WindowOperator& op,
 /// an operator's batched path (or in a column kernel).
 inline std::map<ResultKey, Value> RunToFinalResultsColumns(
     WindowOperator& op, const std::vector<Tuple>& tuples, Time final_wm,
-    int wm_every, Time wm_lag, size_t batch_size) {
+    int wm_every, Time wm_lag, size_t batch_size,
+    WatermarkLog* wm_log = nullptr) {
   return ReplayToFinalResults(op, tuples, final_wm, wm_every, wm_lag,
-                              std::max<size_t>(batch_size, 1));
+                              std::max<size_t>(batch_size, 1), wm_log);
 }
 
 /// Checkpointed twin of RunToFinalResults: runs a fresh operator from
@@ -214,11 +255,12 @@ inline std::map<ResultKey, Value> RunToFinalResultsColumns(
 /// returned final results must be bit-identical to RunToFinalResults over
 /// the whole stream — any difference is a snapshot/restore bug. Returns
 /// false (with *error set) if serialization or container validation fails.
+/// A non-null `wm_log` receives the watermarks and the resume.
 inline bool RunToFinalResultsCheckpointed(
     const std::function<std::unique_ptr<WindowOperator>()>& factory,
     const std::vector<Tuple>& tuples, Time final_wm, int wm_every, Time wm_lag,
     size_t checkpoint_at, std::map<ResultKey, Value>* out,
-    std::string* error) {
+    std::string* error, WatermarkLog* wm_log = nullptr) {
   out->clear();
   std::unique_ptr<WindowOperator> op = factory();
   auto drain = [&] {
@@ -227,6 +269,7 @@ inline bool RunToFinalResultsCheckpointed(
     }
   };
   ReplayCursor cur(wm_every, wm_lag);
+  cur.Record(wm_log);
   const size_t n = tuples.size();
   checkpoint_at = std::min(checkpoint_at, n);
   while (cur.next() < n) {

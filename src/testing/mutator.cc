@@ -163,9 +163,13 @@ void Apply(Op op, DifferentialConfig* cfg, Rng& rng) {
       static const int kWm[] = {0, 16, 64, 256};
       static const int kBatch[] = {0, 1, 7, 64, 333};
       static const char* kKernels[] = {"auto", "scalar", "sse2", "avx2"};
-      switch (rng.NextBounded(5)) {
+      switch (rng.NextBounded(6)) {
         case 0:
           cfg->wm_every = kWm[rng.NextBounded(4)];
+          break;
+        case 5:
+          // Long-window arm: off or a seed-derived window of 200-600.
+          cfg->long_window = rng.NextBounded(2) == 0 ? 0 : -1;
           break;
         case 1:
           cfg->batch = kBatch[rng.NextBounded(5)];
@@ -311,6 +315,7 @@ void Sanitize(DifferentialConfig* cfg) {
   cfg->rescale = std::clamp(cfg->rescale, -1, n);
   cfg->shared = std::clamp(cfg->shared, -1, 16);
   cfg->overload = std::clamp(cfg->overload, -1, 1);
+  cfg->long_window = std::clamp(cfg->long_window, -1, 4096);
   // The persistence twins need at least one tuple on each side of the cut.
   if (n <= 1) {
     cfg->checkpoint = 0;

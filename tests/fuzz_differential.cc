@@ -87,7 +87,7 @@ constexpr const char* kKnownFlags[] = {
     "gap-prob",   "gap-len",    "value-range", "punct-prob", "ooo",
     "max-delay",  "burst-prob", "burst-len", "wm-every",   "batch",
     "checkpoint", "crash",      "rescale",   "shared-queries",
-    "overload",   "kernel",     "guided",    "corpus",
+    "overload",   "long-window", "kernel",   "guided",    "corpus",
     "seed-corpus", "time-budget-s", "stats-json", "stats-series",
     "no-minimize", "track-coverage"};
 
@@ -199,6 +199,13 @@ void ApplyOverrides(const Flags& flags, DifferentialConfig* cfg) {
     // the seed (the nightly fault-matrix lane runs 500 seeds this way).
     // 0: off.
     cfg->overload = static_cast<int>(flags.Int("overload", cfg->overload));
+  }
+  if (flags.Has("long-window")) {
+    // One extra sliding window of length 200-600 (slide 1-3), so windows
+    // span hundreds of slices and lazy emission folds cached slice blocks.
+    // -1: seed-derived length; N > 0: length N. 0: off.
+    cfg->long_window =
+        static_cast<int>(flags.Int("long-window", cfg->long_window));
   }
   if (flags.Has("kernel")) cfg->kernel = flags.Str("kernel", cfg->kernel);
 }

@@ -24,6 +24,7 @@
 #include "common/rng.h"
 #include "core/edge_heap.h"
 #include "core/general_slicing_operator.h"
+#include "datagen/workloads.h"
 #include "query/query_registry.h"
 #include "state/serde.h"
 #include "tests/test_util.h"
@@ -483,6 +484,128 @@ INSTANTIATE_TEST_SUITE_P(
                       Config{false, StoreMode::kEager}),
     [](const ::testing::TestParamInfo<Config>& info) {
       return std::string(info.param.in_order ? "InOrder" : "OutOfOrder") +
+             (info.param.mode == StoreMode::kLazy ? "Lazy" : "Eager");
+    });
+
+/// The dashboard query (DashboardTumblingWindows or DashboardCountWindows:
+/// 1000 tumbling windows of 1000..20000 time units or tuples) on an
+/// out-of-order stream with allowed lateness, the time variant with a
+/// session window too. Windows span hundreds of slices, so lazy emission
+/// folds cached blocks while late tuples, session inserts and merges (or
+/// count-lane shifts) land inside them. A snapshot taken mid-stream is
+/// restored into a fresh operator that finishes the run.
+struct DashboardCase {
+  Measure measure;
+  StoreMode mode;
+};
+
+class DashboardBlocksTest : public ::testing::TestWithParam<DashboardCase> {};
+
+TEST_P(DashboardBlocksTest, RestoredRunMatchesOracle) {
+  const DashboardCase c = GetParam();
+  const bool time = c.measure == Measure::kEventTime;
+  std::vector<WindowPtr> windows =
+      time ? DashboardTumblingWindows(1000) : DashboardCountWindows(1000);
+  std::vector<testing::WindowSpec> specs;
+  for (const WindowPtr& w : windows) {
+    testing::WindowSpec spec;
+    spec.kind = testing::WindowSpec::Kind::kTumbling;
+    spec.measure = c.measure;
+    spec.length = static_cast<const TumblingWindow&>(*w).length();
+    specs.push_back(spec);
+  }
+  if (time) {
+    testing::WindowSpec session;
+    session.kind = testing::WindowSpec::Kind::kSession;
+    session.length = 25;
+    specs.push_back(session);
+    windows.push_back(session.Instantiate());
+  }
+  auto make = [&] {
+    GeneralSlicingOperator::Options o;
+    o.stream_in_order = false;
+    o.allowed_lateness = 1000000;
+    o.store_mode = c.mode;
+    auto op = std::make_unique<GeneralSlicingOperator>(o);
+    for (const std::string& a : kAggs) op->AddAggregation(MakeAggregation(a));
+    for (const WindowPtr& w : windows) op->AddWindow(w);
+    return op;
+  };
+
+  testing::StreamSpec spec;
+  spec.seed = 42;
+  spec.num_tuples = time ? 12000 : 6000;
+  // Gaps a little wider than the session gap, so late tuples open new
+  // session slices between the existing ones. (Session merges stay rare:
+  // the dashboard puts a tumbling edge into almost every gap, and slices
+  // never merge across one. Store-level tests cover merges in blocks.)
+  spec.gap_probability = 0.02;
+  spec.gap_length = 40;
+  spec.value_range = 50;
+  spec.ooo_fraction = time ? 0.1 : 0.02;
+  spec.max_delay = 60;
+  const std::vector<Tuple> stream = testing::GenerateStream(spec);
+  Time max_ts = 0;
+  for (const Tuple& t : stream) max_ts = std::max(max_ts, t.ts);
+  const Time final_wm = max_ts + 100;
+
+  std::unique_ptr<GeneralSlicingOperator> op = make();
+  std::vector<WindowResult> emitted;
+  // A lag below the maximum delay: some tuples arrive after the windows
+  // holding them were emitted and update them.
+  testing::ReplayCursor cur(64, spec.max_delay / 3);
+  while (cur.next() < stream.size()) {
+    if (cur.next() == stream.size() / 2) {
+      state::Writer w;
+      op->SerializeState(w);
+      op = make();
+      state::Reader r(w.bytes());
+      op->DeserializeState(r);
+      ASSERT_TRUE(r.ok() && r.AtEnd());
+    }
+    op->ProcessTuple(cur.Admit(stream));
+    if (const std::optional<Time> wm = cur.DueWatermark()) {
+      op->ProcessWatermark(*wm);
+      op->TakeResultsInto(&emitted);
+    }
+  }
+  op->ProcessWatermark(final_wm);
+  op->TakeResultsInto(&emitted);
+
+  std::vector<Tuple> seqd = stream;
+  for (size_t i = 0; i < seqd.size(); ++i) seqd[i].seq = i;
+  const ResultMap want = testing::OracleResults(specs, kAggs, seqd, final_wm);
+  const ResultMap got = testing::FinalResults(emitted);
+  EXPECT_GT(want.size(), 500u);
+  EXPECT_EQ(got.size(), want.size());
+  for (const auto& [key, value] : want) {
+    const auto it = got.find(key);
+    ASSERT_TRUE(it != got.end())
+        << "missing window " << std::get<0>(key) << " [" << std::get<2>(key)
+        << "," << std::get<3>(key) << ")";
+    ASSERT_EQ(it->second, value)
+        << "window " << std::get<0>(key) << " agg " << std::get<1>(key)
+        << " [" << std::get<2>(key) << "," << std::get<3>(key) << ")";
+  }
+  EXPECT_GT(op->stats().window_updates_emitted, 0u);
+  const AggregateStore& store =
+      time ? *op->time_store() : op->count_lane()->store();
+  if (c.mode == StoreMode::kLazy) {
+    EXPECT_GT(store.CachedBlocks(), 0u);
+  } else {
+    EXPECT_EQ(store.CachedBlocks(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TimeAndCount, DashboardBlocksTest,
+    ::testing::Values(DashboardCase{Measure::kEventTime, StoreMode::kLazy},
+                      DashboardCase{Measure::kEventTime, StoreMode::kEager},
+                      DashboardCase{Measure::kCount, StoreMode::kLazy},
+                      DashboardCase{Measure::kCount, StoreMode::kEager}),
+    [](const ::testing::TestParamInfo<DashboardCase>& info) {
+      return std::string(info.param.measure == Measure::kEventTime ? "Time"
+                                                                   : "Count") +
              (info.param.mode == StoreMode::kLazy ? "Lazy" : "Eager");
     });
 

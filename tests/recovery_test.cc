@@ -407,6 +407,25 @@ TEST(RunPipelineParallel, CleanRunReportsOk) {
   EXPECT_GT(rep.results, 0u);
 }
 
+TEST(RunPipelineParallel, OneWorkerCountsResultsAndUpdatesLikeRunPipeline) {
+  // A watermark after every tuple, lagging less than the stream's disorder
+  // (9): late tuples update windows that were already emitted.
+  PipelineOptions popts;
+  popts.watermark_every = 1;
+  popts.watermark_delay = 4;
+  VectorSource seq_src(MakeStream(2000));
+  auto op = SlicingFactory()();
+  const PipelineReport want = RunPipeline(seq_src, *op, 2000, popts);
+  ASSERT_GT(want.updates, 0u);
+
+  VectorSource par_src(MakeStream(2000));
+  ParallelExecutor exec(1, SlicingFactory());
+  const PipelineReport got = RunPipelineParallel(par_src, exec, 2000, popts);
+  ASSERT_TRUE(got.ok) << got.error;
+  EXPECT_EQ(got.results, want.results);
+  EXPECT_EQ(got.updates, want.updates);
+}
+
 TEST(RunPipelineParallel, ThrowingSourceStillJoinsWorkers) {
   ThrowingSource src(300);
   ParallelExecutor exec(3, ParallelFactory());

@@ -130,6 +130,30 @@ DifferentialConfig HandConfig(const std::string& queries,
   return cfg;
 }
 
+// A resumed replay's log folds into what downstream saw: the resume drops
+// the watermarks sent after its barrier and must restart from the one sent
+// last before it.
+TEST(WatermarkLog, MergeFoldsResumesLikeDownstream) {
+  using testing::MergeWatermarkLog;
+  using testing::WatermarkLog;
+  WatermarkLog log = {{64, 10, false},  {128, 20, false}, {192, 30, false},
+                      {128, 20, true},  {192, 30, false}, {256, 40, false}};
+  WatermarkLog merged;
+  ASSERT_TRUE(MergeWatermarkLog(log, &merged));
+  EXPECT_EQ(merged, (WatermarkLog{{64, 10, false},
+                                  {128, 20, false},
+                                  {192, 30, false},
+                                  {256, 40, false}}));
+  log[3].wm = kNoTime;  // the resume lost the barrier's last watermark
+  EXPECT_FALSE(MergeWatermarkLog(log, &merged));
+
+  // A from-scratch recovery resumes before tuple 0 with no watermark.
+  const WatermarkLog scratch = {
+      {64, 10, false}, {0, kNoTime, true}, {64, 10, false}};
+  ASSERT_TRUE(MergeWatermarkLog(scratch, &merged));
+  EXPECT_EQ(merged, (WatermarkLog{{64, 10, false}}));
+}
+
 // A run stopped at any barrier and continued from a cursor rebuilt from
 // that barrier's metadata sends the same watermarks after the same tuples
 // as the uninterrupted run. Every other block of the stream arrives below
